@@ -24,15 +24,47 @@ Two entry points exist:
   clause database alone, never from the assumptions, so reusing them across
   queries with different assumptions is sound.
 
-The implementation favours clarity over raw speed; the word-level
-simplifications and the domain-specific concretizations in
-:mod:`repro.equivalence` keep the CNF instances small enough that this is
-sufficient for the programs in the benchmark corpus.
+Literal encoding
+----------------
+The interface speaks DIMACS integers: variables are ``1..num_vars`` and
+``-v`` is the negation of ``v`` (``new_var``, ``add_clause``, the
+assumptions of ``solve`` and the keys of :attr:`SatResult.model`).
+Internally the hot loop follows MiniSat (Eén & Sörensson, "An Extensible
+SAT-solver", SAT 2003): literal ``v`` is the code ``2v`` and ``-v`` is
+``2v + 1``, so negation is ``code ^ 1`` and the variable is ``code >> 1``.
+Assignments live in one list indexed by literal code (``True``, ``False``
+or ``None``; both codes of a variable are written together), watch lists
+in a list indexed by literal code, and clauses — original and learned —
+are lists of codes.  Unit propagation is a single loop with the value
+lookups and assignments inlined.
+
+Ordering invariant
+------------------
+Search trajectories are part of the contract: the same clause database,
+call sequence and assumptions give the same propagations, learned
+clauses, decisions, models and conflict counts, so equivalence verdicts,
+counterexamples and whole synthesis runs are reproducible.  Concretely:
+
+* each watch list is visited in order; a clause's replacement watch is
+  its first non-false literal from position 2 on; the falsified watch
+  moves to position 1; a clause whose other watch is true at level 0 is
+  dropped from the falsified literal's list;
+* conflict analysis walks the trail backwards and visits, bumps and
+  collects the literals of each clause in clause order;
+* a decision is the unassigned variable minimising ``(-activity, var)``.
+  The order heap may hold stale entries; ``_queued[v]`` records whether
+  the entry carrying ``v``'s current activity is still in it, so an
+  unassigned variable only needs a new entry when that one was popped.
+
+Any change to these orders (blocker literals, learned-clause deletion,
+separate binary watch lists, another restart or decision policy) is a
+heuristic change: it must regenerate ``tests/golden_trajectories.json``
+deliberately.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 from .cnf import CNF
@@ -41,7 +73,13 @@ __all__ = ["IncrementalSatSolver", "SatSolver", "SatResult", "solve_cnf"]
 
 
 class SatResult:
-    """Outcome of a satisfiability check."""
+    """Outcome of one satisfiability check.
+
+    ``model`` maps every DIMACS variable to its value (SAT answers only).
+    ``conflicts`` and ``decisions`` count the effort of this check alone;
+    the solver's own ``conflicts`` and ``decisions`` attributes are the
+    lifetime totals over every ``solve()`` call.
+    """
 
     def __init__(self, satisfiable: bool, model: Optional[Dict[int, bool]] = None,
                  conflicts: int = 0, decisions: int = 0,
@@ -75,6 +113,11 @@ def _luby(index: int) -> int:
     return 1 << seq
 
 
+def _code(lit: int) -> int:
+    """Internal code of a DIMACS literal: ``2v`` for ``v``, ``2v+1`` for ``-v``."""
+    return lit << 1 if lit > 0 else 1 - (lit << 1)
+
+
 class IncrementalSatSolver:
     """CDCL solver whose clause database grows across ``solve()`` calls.
 
@@ -89,12 +132,18 @@ class IncrementalSatSolver:
         self.num_vars = 0
         #: Conflict budget applied to each individual ``solve()`` call.
         self.max_conflicts = max_conflicts
-        # value[v] is None (unassigned), True or False.
-        self.value: List[Optional[bool]] = [None]
+        # Per literal code (codes 0 and 1 belong to the unused variable 0).
+        self.lit_values: List[Optional[bool]] = [None, None]
+        self.watches: List[List[List[int]]] = [[], []]
+        # Per variable.
         self.level: List[int] = [0]
         self.reason: List[Optional[List[int]]] = [None]
         self.activity: List[float] = [0.0]
-        self.phase: List[bool] = [False]
+        #: Saved phase as the sign bit of the variable's last assignment
+        #: (1 = negative, the initial phase).
+        self.polarity: List[int] = [1]
+        self._queued: List[bool] = [False]
+        self._seen: List[bool] = [False]
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.trail: List[int] = []
@@ -102,18 +151,13 @@ class IncrementalSatSolver:
         self.propagate_head = 0
         self.clauses: List[List[int]] = []
         self.learned: List[List[int]] = []
-        # watches[lit] is a list of clauses currently watching lit.
-        self.watches: Dict[int, List[List[int]]] = {}
+        #: Lifetime totals over every ``solve()`` call.
         self.conflicts = 0
         self.decisions = 0
         self.num_solves = 0
         self._contradiction = False
         # Lazy VSIDS order: a heap of (-activity, var) entries, possibly
-        # stale.  Every unassigned variable always has at least one entry
-        # (pushed on allocation, on bump and on unassignment), so popping
-        # until an unassigned variable appears is a correct O(log n)
-        # replacement for a full scan — essential once queries accumulate
-        # variables in the incremental setting.
+        # stale (see the module docstring's ordering invariant).
         self._order: List[tuple] = []
 
     # ------------------------------------------------------------------ #
@@ -122,13 +166,17 @@ class IncrementalSatSolver:
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
         self.num_vars += 1
-        self.value.append(None)
+        var = self.num_vars
+        self.lit_values += (None, None)
+        self.watches += ([], [])
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
-        self.phase.append(False)
-        heapq.heappush(self._order, (0.0, self.num_vars))
-        return self.num_vars
+        self.polarity.append(1)
+        self._queued.append(True)
+        self._seen.append(False)
+        heappush(self._order, (0.0, var))
+        return var
 
     def add_clause(self, literals: Sequence[int]) -> None:
         """Add one clause (a disjunction of literals) at decision level 0.
@@ -140,6 +188,7 @@ class IncrementalSatSolver:
         """
         if self._contradiction:
             return
+        values = self.lit_values
         clause: List[int] = []
         seen = set()
         for lit in literals:
@@ -152,28 +201,32 @@ class IncrementalSatSolver:
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._lit_value(lit)
+            code = _code(lit)
+            value = values[code]
             if value is True:
                 return  # satisfied at level 0, permanently true
             if value is False:
                 continue  # falsified at level 0, drop the literal
-            clause.append(lit)
+            clause.append(code)
         # Seed the branching activities with literal occurrence counts so the
         # first decisions target heavily-constrained variables.
-        for lit in clause:
-            var = abs(lit)
-            self.activity[var] += 1.0 / max(1, len(clause))
-            heapq.heappush(self._order, (-self.activity[var], var))
-        self._add_clause(clause, learned=False)
+        activity = self.activity
+        weight = 1.0 / max(1, len(clause))
+        for code in clause:
+            var = code >> 1
+            activity[var] += weight
+            heappush(self._order, (-activity[var], var))
+            self._queued[var] = True
+        self._add_clause(clause)
 
     def add_clauses(self, clauses) -> None:
         for clause in clauses:
             self.add_clause(clause)
 
     # ------------------------------------------------------------------ #
-    # Clause management
+    # Clause management (clauses are lists of literal codes)
     # ------------------------------------------------------------------ #
-    def _add_clause(self, clause: List[int], learned: bool) -> None:
+    def _add_clause(self, clause: List[int]) -> None:
         if not clause:
             self._contradiction = True
             return
@@ -181,181 +234,233 @@ class IncrementalSatSolver:
             if not self._enqueue(clause[0], None):
                 self._contradiction = True
             return
-        if learned:
-            self.learned.append(clause)
-        else:
-            self.clauses.append(clause)
-        self._watch(clause[0], clause)
-        self._watch(clause[1], clause)
-
-    def _watch(self, lit: int, clause: List[int]) -> None:
-        self.watches.setdefault(lit, []).append(clause)
-
-    # ------------------------------------------------------------------ #
-    # Assignment handling
-    # ------------------------------------------------------------------ #
-    def _lit_value(self, lit: int) -> Optional[bool]:
-        value = self.value[abs(lit)]
-        if value is None:
-            return None
-        return value if lit > 0 else not value
+        self.clauses.append(clause)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
-        current = self._lit_value(lit)
+        """Assign literal code ``lit`` true; its current value if assigned."""
+        values = self.lit_values
+        current = values[lit]
         if current is not None:
             return current
-        var = abs(lit)
-        self.value[var] = lit > 0
-        self.phase[var] = lit > 0
+        values[lit] = True
+        values[lit ^ 1] = False
+        var = lit >> 1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     # ------------------------------------------------------------------ #
     # Unit propagation (two watched literals)
     # ------------------------------------------------------------------ #
     def _propagate(self) -> Optional[List[int]]:
-        while self.propagate_head < len(self.trail):
-            lit = self.trail[self.propagate_head]
-            self.propagate_head += 1
-            false_lit = -lit
-            watching = self.watches.get(false_lit, [])
-            new_watching: List[List[int]] = []
-            index = 0
-            conflict = None
-            while index < len(watching):
-                clause = watching[index]
-                index += 1
+        """Propagate the trail; return a conflicting clause or ``None``."""
+        trail = self.trail
+        values = self.lit_values
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        current_level = len(self.trail_lim)
+        head = self.propagate_head
+        while head < len(trail):
+            false_lit = trail[head] ^ 1
+            head += 1
+            watching = watches[false_lit]
+            if not watching:
+                continue
+            # Compact the watch list in place: ``kept`` clauses stay.
+            kept = 0
+            clauses = iter(watching)
+            for clause in clauses:
                 # Ensure the false literal is in position 1.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) is True:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                value = values[first]
+                if value is True:
                     # Satisfied at level 0 (e.g. a retired scope guard):
                     # permanently true — drop it from this watch list so
                     # finished queries stop taxing propagation.
-                    if self.level[abs(first)] > 0:
-                        new_watching.append(clause)
+                    if level[first >> 1]:
+                        watching[kept] = clause
+                        kept += 1
                     continue
                 # Look for a replacement watch.
-                found = False
-                for position in range(2, len(clause)):
-                    candidate = clause[position]
-                    if self._lit_value(candidate) is not False:
-                        clause[1], clause[position] = clause[position], clause[1]
-                        self._watch(clause[1], clause)
-                        found = True
-                        break
-                if found:
-                    continue
+                size = len(clause)
+                if size > 2:
+                    candidate = clause[2]
+                    if values[candidate] is not False:
+                        clause[1] = candidate
+                        clause[2] = false_lit
+                        watches[candidate].append(clause)
+                        continue
+                    position = 3
+                    while position < size:
+                        candidate = clause[position]
+                        if values[candidate] is not False:
+                            clause[1] = candidate
+                            clause[position] = false_lit
+                            watches[candidate].append(clause)
+                            break
+                        position += 1
+                    if position < size:
+                        continue
                 # Clause is unit or conflicting.
-                new_watching.append(clause)
-                if self._lit_value(first) is False:
-                    # Conflict: keep remaining watches and report.
-                    new_watching.extend(watching[index:])
-                    conflict = clause
-                    break
-                self._enqueue(first, clause)
-            self.watches[false_lit] = new_watching
-            if conflict is not None:
-                return conflict
+                watching[kept] = clause
+                kept += 1
+                if value is False:
+                    # Conflict: keep the remaining watches and report.
+                    for clause_left in clauses:
+                        watching[kept] = clause_left
+                        kept += 1
+                    del watching[kept:]
+                    self.propagate_head = head
+                    return clause
+                values[first] = True
+                values[first ^ 1] = False
+                var = first >> 1
+                level[var] = current_level
+                reason[var] = clause
+                trail.append(first)
+            del watching[kept:]
+        self.propagate_head = head
         return None
 
     # ------------------------------------------------------------------ #
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------ #
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for index in range(1, self.num_vars + 1):
-                self.activity[index] *= 1e-100
-            self.var_inc *= 1e-100
-            self._rebuild_order()
-        else:
-            heapq.heappush(self._order, (-self.activity[var], var))
+    def _rescale_activity(self) -> None:
+        activity = self.activity
+        for var in range(1, self.num_vars + 1):
+            activity[var] *= 1e-100
+        self.var_inc *= 1e-100
+        self._rebuild_order()
 
     def _rebuild_order(self) -> None:
-        self._order = [(-self.activity[var], var)
-                       for var in range(1, self.num_vars + 1)
-                       if self.value[var] is None]
-        heapq.heapify(self._order)
+        """Refill the order heap with one current entry per unassigned var."""
+        values = self.lit_values
+        activity = self.activity
+        queued = self._queued
+        order = self._order
+        order.clear()
+        for var in range(1, self.num_vars + 1):
+            unassigned = values[var << 1] is None
+            queued[var] = unassigned
+            if unassigned:
+                order.append((-activity[var], var))
+        heapify(order)
 
     def _analyze(self, conflict: List[int]) -> tuple[List[int], int]:
-        learnt: List[int] = []
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        queued = self._queued
+        order = self._order
+        var_inc = self.var_inc
+        current_level = len(self.trail_lim)
+        # learnt[0] becomes the negated first-UIP literal.
+        learnt: List[int] = [0]
         counter = 0
-        lit = None
+        resolved = -1
         clause = conflict
-        trail_index = len(self.trail) - 1
-        current_level = self._decision_level()
+        trail_index = len(trail) - 1
 
         while True:
-            for other in clause:
+            for lit in clause:
                 # Skip the literal we are resolving on (the implied literal
                 # of the reason clause).
-                if lit is not None and other == lit:
+                if lit == resolved:
                     continue
-                var = abs(other)
-                if not seen[var] and self.level[var] > 0:
+                var = lit >> 1
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self.level[var] >= current_level:
+                    bumped = activity[var] + var_inc
+                    activity[var] = bumped
+                    if bumped > 1e100:
+                        self._rescale_activity()
+                        var_inc = self.var_inc
+                    else:
+                        heappush(order, (-bumped, var))
+                        queued[var] = True
+                    if level[var] >= current_level:
                         counter += 1
                     else:
-                        learnt.append(other)
+                        learnt.append(lit)
             # Pick the next literal to resolve on from the trail.
-            while not seen[abs(self.trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            lit = self.trail[trail_index]
+            resolved = trail[trail_index]
             trail_index -= 1
-            var = abs(lit)
+            var = resolved >> 1
             seen[var] = False
             counter -= 1
             if counter == 0:
-                learnt.insert(0, -lit)
                 break
-            clause = self.reason[var] or []
+            clause = reason[var] or ()
+        learnt[0] = resolved ^ 1
+        for lit in learnt:
+            seen[lit >> 1] = False
 
         if len(learnt) == 1:
-            backjump_level = 0
-        else:
-            backjump_level = max(self.level[abs(l)] for l in learnt[1:])
-            # Move the literal with the backjump level to position 1.
-            for position in range(1, len(learnt)):
-                if self.level[abs(learnt[position])] == backjump_level:
-                    learnt[1], learnt[position] = learnt[position], learnt[1]
-                    break
+            return learnt, 0
+        # Move the (first) literal with the backjump level to position 1.
+        best = 1
+        backjump_level = level[learnt[1] >> 1]
+        for position in range(2, len(learnt)):
+            lit_level = level[learnt[position] >> 1]
+            if lit_level > backjump_level:
+                backjump_level = lit_level
+                best = position
+        learnt[1], learnt[best] = learnt[best], learnt[1]
         return learnt, backjump_level
 
     def _backjump(self, target_level: int) -> None:
-        while self._decision_level() > target_level:
-            boundary = self.trail_lim.pop()
-            for lit in reversed(self.trail[boundary:]):
-                var = abs(lit)
-                self.value[var] = None
-                self.reason[var] = None
-                heapq.heappush(self._order, (-self.activity[var], var))
-            del self.trail[boundary:]
+        trail_lim = self.trail_lim
+        if len(trail_lim) > target_level:
+            boundary = trail_lim[target_level]
+            del trail_lim[target_level:]
+            trail = self.trail
+            values = self.lit_values
+            polarity = self.polarity
+            queued = self._queued
+            activity = self.activity
+            order = self._order
+            for lit in trail[boundary:]:
+                values[lit] = None
+                values[lit ^ 1] = None
+                var = lit >> 1
+                polarity[var] = lit & 1
+                if not queued[var]:
+                    heappush(order, (-activity[var], var))
+                    queued[var] = True
+            del trail[boundary:]
         self.propagate_head = min(self.propagate_head, len(self.trail))
 
     # ------------------------------------------------------------------ #
     # Decisions
     # ------------------------------------------------------------------ #
     def _pick_branch_variable(self) -> Optional[int]:
-        # Pop until an unassigned variable surfaces.  Entries may be stale
-        # (the variable was assigned, or its activity has changed since the
-        # entry was pushed); an unassigned variable is acceptable even under
-        # a stale priority because a fresher entry would have sorted first.
+        # Pop until an unassigned variable surfaces.  A variable's current
+        # entry sorts before its stale ones (activities only grow between
+        # rebuilds), so the first unassigned variable popped is the argmin
+        # of (-activity, var) over the unassigned variables.
         if len(self._order) > max(4096, 8 * self.num_vars):
             self._rebuild_order()
         order = self._order
+        values = self.lit_values
+        activity = self.activity
+        queued = self._queued
         while order:
-            _, var = heapq.heappop(order)
-            if self.value[var] is None:
+            key, var = heappop(order)
+            if key == -activity[var]:
+                queued[var] = False
+            if values[var << 1] is None:
                 return var
         return None
 
@@ -375,14 +480,19 @@ class IncrementalSatSolver:
         """
         self.num_solves += 1
         try:
-            return self._solve(list(assumptions))
+            return self._solve([_code(lit) for lit in assumptions])
         finally:
             self._backjump(0)
 
     def _solve(self, assumptions: List[int]) -> SatResult:
+        conflicts_before = self.conflicts
+        decisions_before = self.decisions
+
         def result(satisfiable: bool, model=None, failed=False) -> SatResult:
-            return SatResult(satisfiable, model=model, conflicts=self.conflicts,
-                             decisions=self.decisions, assumption_failed=failed)
+            return SatResult(satisfiable, model=model,
+                             conflicts=self.conflicts - conflicts_before,
+                             decisions=self.decisions - decisions_before,
+                             assumption_failed=failed)
 
         if self._contradiction:
             return result(False)
@@ -395,6 +505,10 @@ class IncrementalSatSolver:
         conflicts_until_restart = _luby(restart_count) * 128
         conflict_budget = None if self.max_conflicts is None \
             else self.conflicts + self.max_conflicts
+        values = self.lit_values
+        trail = self.trail
+        trail_lim = self.trail_lim
+        watches = self.watches
 
         while True:
             conflict = self._propagate()
@@ -403,7 +517,7 @@ class IncrementalSatSolver:
                 if conflict_budget is not None and self.conflicts > conflict_budget:
                     raise TimeoutError(
                         f"SAT solver exceeded {self.max_conflicts} conflicts")
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._contradiction = True
                     return result(False)
                 learnt, backjump_level = self._analyze(conflict)
@@ -412,8 +526,8 @@ class IncrementalSatSolver:
                     self._enqueue_learnt_unit(learnt[0])
                 else:
                     self.learned.append(learnt)
-                    self._watch(learnt[0], learnt)
-                    self._watch(learnt[1], learnt)
+                    watches[learnt[0]].append(learnt)
+                    watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= self.var_decay
                 conflicts_until_restart -= 1
@@ -423,26 +537,26 @@ class IncrementalSatSolver:
                     self._backjump(0)
                 continue
 
-            if self._decision_level() < len(assumptions):
+            if len(trail_lim) < len(assumptions):
                 # Extend the assumption prefix by one decision level.
-                lit = assumptions[self._decision_level()]
-                value = self._lit_value(lit)
+                lit = assumptions[len(trail_lim)]
+                value = values[lit]
                 if value is False:
                     return result(False, failed=True)
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 if value is None:
                     self._enqueue(lit, None)
                 continue
 
             variable = self._pick_branch_variable()
             if variable is None:
-                model = {var: bool(self.value[var])
-                         for var in range(1, self.num_vars + 1)}
+                # Every variable is assigned; positive codes are 2..2n.
+                model = dict(zip(range(1, self.num_vars + 1),
+                                 values[2:2 * self.num_vars + 2:2]))
                 return result(True, model=model)
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            polarity = self.phase[variable]
-            self._enqueue(variable if polarity else -variable, None)
+            trail_lim.append(len(trail))
+            self._enqueue((variable << 1) | self.polarity[variable], None)
 
     def _enqueue_learnt_unit(self, lit: int) -> None:
         if not self._enqueue(lit, None):
@@ -457,7 +571,7 @@ class SatSolver(IncrementalSatSolver):
         for _ in range(cnf.num_vars):
             self.new_var()
         for clause in cnf.clauses:
-            self._add_clause(list(clause), learned=False)
+            self._add_clause([_code(lit) for lit in clause])
         # Seed the branching activities with literal occurrence counts so the
         # first decisions target heavily-constrained variables (the original
         # one-shot seeding, over the unsimplified clause list).

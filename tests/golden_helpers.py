@@ -1,21 +1,70 @@
-"""Shared program definitions for the golden verdict regression corpus.
+"""Shared helpers for the golden regression corpora.
 
-The golden corpus pins the analyzer verdict (safe/unsafe + violation
-kinds) for every :mod:`repro.corpus` benchmark and for a set of
-hand-written unsafe variants, one per violation class.  Both analysis
-implementations (``fused`` and ``legacy``) must reproduce the pinned
-verdicts exactly, so verdict drift — a transfer-function change that
-silently accepts more or fewer programs — fails loudly.
+Two golden files live next to this module:
+
+* ``golden_verdicts.json`` pins the analyzer verdict (safe/unsafe +
+  violation kinds) for every :mod:`repro.corpus` benchmark and for a set
+  of hand-written unsafe variants, one per violation class.  Both
+  analysis implementations (``fused`` and ``legacy``) must reproduce the
+  pinned verdicts exactly, so verdict drift — a transfer-function change
+  that silently accepts more or fewer programs — fails loudly.
+* ``golden_trajectories.json`` pins search trajectories and SAT-core
+  answers (see ``test_golden_trajectories.py``); its searches are compared
+  through :func:`search_signature`, the one search-identity signature every
+  bit-identity test in the suite uses.
 """
 
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapDef, MapEnvironment, MapType
 
-__all__ = ["unsafe_variants", "GOLDEN_PATH"]
+__all__ = ["GOLDEN_PATH", "TRAJECTORIES_PATH", "chain_signature",
+           "search_signature", "unsafe_variants", "verification_signature"]
 
 import os
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_verdicts.json")
+TRAJECTORIES_PATH = os.path.join(os.path.dirname(__file__),
+                                 "golden_trajectories.json")
+
+
+def verification_signature(stats):
+    """Per-stage verification counters without wall-clock fields."""
+    return tuple(sorted(
+        (stage, tuple(sorted((key, value) for key, value in counters.items()
+                             if key != "seconds")))
+        for stage, counters in stats.items()))
+
+
+def chain_signature(chain_result):
+    """Everything about a ChainResult except wall-clock timing fields."""
+    s = chain_result.statistics
+    return (
+        s.iterations, s.proposals_accepted, s.proposals_unsafe,
+        s.test_failures, s.equivalence_checks, s.equivalence_cache_hits,
+        s.counterexamples_added, s.verified_candidates,
+        s.best_found_at_iteration, s.cross_chain_cache_hits,
+        s.counterexamples_received, verification_signature(s.verification),
+        tuple((c.program.structural_key(), c.perf_cost, c.instruction_count,
+               c.found_at_iteration) for c in chain_result.candidates),
+    )
+
+
+def search_signature(result):
+    """Everything deterministic about a SearchResult.
+
+    Two searches with equal signatures followed the same trajectory: same
+    per-chain counters and verification-stage tallies, same candidates,
+    same best program, same shared-cache statistics.  Wall-clock fields
+    are left out.  Comparisons that legitimately differ in a field (a
+    pure-speed memo counter, say) drop it explicitly at the call site.
+    """
+    return (
+        [chain_signature(c) for c in result.chain_results],
+        result.best_program.structural_key(),
+        result.rejected_by_kernel_checker,
+        result.counterexamples_shared,
+        {k: v for k, v in result.cache_stats.items()},
+    )
 
 
 def _prog(text, maps=None, hook=HookType.XDP, name="variant"):

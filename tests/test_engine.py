@@ -28,6 +28,8 @@ from repro.synthesis import SearchOptions, Synthesizer
 from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
+from golden_helpers import search_signature
+
 
 def prog(text, hook=HookType.XDP, maps=None):
     return BpfProgram(instructions=assemble(text), hook=get_hook(hook),
@@ -386,23 +388,6 @@ class TestLatencyEstimateRegression:
 # --------------------------------------------------------------------------- #
 # Search-level identity: --engine decoded == --engine legacy
 # --------------------------------------------------------------------------- #
-def search_signature(result):
-    chains = []
-    for chain_result in result.chain_results:
-        s = chain_result.statistics
-        chains.append((
-            s.iterations, s.proposals_accepted, s.proposals_unsafe,
-            s.test_failures, s.equivalence_checks, s.equivalence_cache_hits,
-            s.counterexamples_added, s.verified_candidates,
-            s.best_found_at_iteration,
-            tuple((c.program.structural_key(), c.perf_cost,
-                   c.instruction_count, c.found_at_iteration)
-                  for c in chain_result.candidates),
-        ))
-    return (chains, result.best_program.structural_key(),
-            result.rejected_by_kernel_checker)
-
-
 class TestSearchIdentityAcrossEngines:
     @pytest.mark.slow
     def test_decoded_search_bit_identical_to_legacy(self):

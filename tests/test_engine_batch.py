@@ -27,7 +27,8 @@ from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 from repro.verification.pipeline import VerificationPipeline
 
-from test_engine import output_fingerprint, search_signature
+from golden_helpers import search_signature
+from test_engine import output_fingerprint
 
 
 def prog(text, hook=HookType.XDP, maps=None):

@@ -25,7 +25,8 @@ from repro.synthesis import SearchOptions, Synthesizer
 from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
-from test_engine import output_fingerprint, search_signature
+from golden_helpers import search_signature
+from test_engine import output_fingerprint
 
 
 def prog(text, hook=HookType.XDP, maps=None):

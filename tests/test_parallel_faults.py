@@ -23,7 +23,8 @@ import repro.synthesis.parallel as parallel_mod
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
 from repro.synthesis import SearchOptions, Synthesizer
-from test_parallel_search import REDUNDANT, search_signature
+from golden_helpers import search_signature
+from test_parallel_search import REDUNDANT
 
 
 def prog(text, hook=HookType.XDP):

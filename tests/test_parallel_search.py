@@ -19,6 +19,8 @@ from repro.synthesis import (
 )
 from repro.synthesis import TestSuite as SynthTestSuite
 
+from golden_helpers import chain_signature, search_signature
+
 
 def prog(text, hook=HookType.XDP):
     return BpfProgram(instructions=assemble(text), hook=get_hook(hook),
@@ -32,38 +34,6 @@ REDUNDANT = """
     ldxw r0, [r10-4]
     exit
 """
-
-
-def verification_signature(stats):
-    """Per-stage verification counters without wall-clock fields."""
-    return tuple(sorted(
-        (stage, tuple(sorted((key, value) for key, value in counters.items()
-                             if key != "seconds")))
-        for stage, counters in stats.items()))
-
-
-def chain_signature(chain_result):
-    """Everything about a ChainResult except wall-clock timing fields."""
-    s = chain_result.statistics
-    return (
-        s.iterations, s.proposals_accepted, s.proposals_unsafe,
-        s.test_failures, s.equivalence_checks, s.equivalence_cache_hits,
-        s.counterexamples_added, s.verified_candidates,
-        s.best_found_at_iteration, s.cross_chain_cache_hits,
-        s.counterexamples_received, verification_signature(s.verification),
-        tuple((c.program.structural_key(), c.perf_cost, c.instruction_count,
-               c.found_at_iteration) for c in chain_result.candidates),
-    )
-
-
-def search_signature(result):
-    return (
-        [chain_signature(c) for c in result.chain_results],
-        result.best_program.structural_key(),
-        result.rejected_by_kernel_checker,
-        result.counterexamples_shared,
-        {k: v for k, v in result.cache_stats.items()},
-    )
 
 
 class TestSerialMatchesLegacy:

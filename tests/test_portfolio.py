@@ -28,7 +28,7 @@ from repro.equivalence import (
 from repro.synthesis import SearchOptions, Synthesizer
 from repro.verification import PortfolioEquivalenceChecker, VerificationPipeline
 
-from test_engine import search_signature
+from golden_helpers import search_signature
 
 
 def _pairs(name="xdp_exception"):

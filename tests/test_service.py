@@ -30,7 +30,8 @@ from repro.service import DaemonClient, DaemonUnavailable, JobSpec
 from repro.service.jobs import JobQueue
 from repro.store import VerdictStore
 from repro.synthesis import SearchInterrupted, SearchOptions, Synthesizer
-from test_parallel_search import REDUNDANT, search_signature
+from golden_helpers import search_signature
+from test_parallel_search import REDUNDANT
 
 
 def prog(text, hook=HookType.XDP):

@@ -33,7 +33,8 @@ from repro.service import (DaemonClient, DaemonUnavailable, JobSpec,
                            run_shard)
 from repro.service import protocol
 from repro.synthesis import Synthesizer
-from test_parallel_search import REDUNDANT, search_signature
+from golden_helpers import search_signature
+from test_parallel_search import REDUNDANT
 from test_service import SPEC, DaemonHarness, result_identity
 
 

@@ -146,6 +146,23 @@ class TestIncrementalSatSolver:
             for clause in clauses:
                 assert any(second.model[abs(l)] == (l > 0) for l in clause)
 
+    def test_result_counts_only_its_own_solve(self):
+        """SatResult reports one call's effort; the solver keeps totals."""
+        rng = random.Random(3)
+        solver = IncrementalSatSolver()
+        variables = [solver.new_var() for _ in range(120)]
+        for _ in range(470):
+            solver.add_clause([var if rng.random() < 0.5 else -var
+                               for var in rng.sample(variables, 3)])
+        first = solver.solve()
+        assert first.conflicts > 0
+        assert (first.conflicts, first.decisions) == \
+            (solver.conflicts, solver.decisions)
+        second = solver.solve([variables[0]])
+        assert second.decisions > 0
+        assert second.conflicts == solver.conflicts - first.conflicts
+        assert second.decisions == solver.decisions - first.decisions
+
     def test_timeout_then_recovery(self):
         solver = IncrementalSatSolver(max_conflicts=5)
         holes, pigeons = 5, 6
