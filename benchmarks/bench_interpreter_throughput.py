@@ -1,9 +1,9 @@
-"""Interpreter throughput: batch, fused and decode-once engines vs. legacy.
+"""Interpreter throughput: fused and decode-once engines vs. legacy.
 
 Every MCMC proposal is replayed on the pooled test inputs before any solver
 query, so interpreter throughput bounds end-to-end synthesis speed (paper
 §3.2).  This bench measures the execution engines on corpus programs in
-the three shapes the search actually produces:
+the two shapes the search actually produces:
 
 * **steady state** — one program executed over a test suite repeatedly
   (the accept/reject inner loop on an unchanged current program);
@@ -11,23 +11,17 @@ the three shapes the search actually produces:
   decode is a cache miss at the program level, but unchanged instructions
   come from the per-instruction memo; the fused tier defers both CFG
   construction and block compilation until a program recurs, so one-shot
-  churn must not regress below the decoded tier);
-* **pooled-suite replay** — one candidate replayed over a large pooled
-  test suite in a single ``run_batch`` call (the verification replay
-  stage's shape), where the lockstep batch tier advances all lanes through
-  each basic block with one handler invocation.
+  churn must not regress below the decoded tier).
 
 Throughput is reported in executed instructions per second (the engines are
 bit-identical, so all of them execute exactly the same steps; the bench
 asserts that).  Timing is interleaved best-of-``REPEATS`` CPU time, which
-suppresses scheduler noise on busy hosts.  Four acceptance gates:
+suppresses scheduler noise on busy hosts.  Three acceptance gates:
 
 * ``decoded >= MIN_SPEEDUP x legacy`` (the decode-once refactor),
 * ``fused >= MIN_FUSED_SPEEDUP x decoded`` (the superinstruction engine),
 * ``fused churn >= MIN_CHURN_SPEEDUP x decoded churn`` (tiered promotion:
-  compiling fused blocks must not cost more than it saves under churn),
-* ``batch >= MIN_BATCH_SPEEDUP x fused`` on pooled suites of
-  ``POOLED_SUITE_SIZE`` (>= 32) tests (the lockstep vectorized tier).
+  compiling fused blocks must not cost more than it saves under churn).
 
 Environment knobs: ``K2_BENCH_SMOKE=1`` shrinks the program list and pass
 counts for CI smoke runs; ``K2_BENCH_JSON=path`` writes a JSON summary (the
@@ -43,7 +37,7 @@ import pytest
 
 from repro.bpf.instruction import NOP
 from repro.corpus import get_benchmark
-from repro.engine import BatchedEngine, ExecutionEngine, FusedEngine
+from repro.engine import ExecutionEngine, FusedEngine
 from repro.interpreter import Interpreter
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
@@ -58,11 +52,6 @@ NUM_TESTS = 8 if SMOKE else 16
 PASSES = 6 if SMOKE else 12
 REPEATS = 2 if SMOKE else 3
 CHURN_PROPOSALS = 20 if SMOKE else 60
-#: Pooled-suite replay leg: one run_batch over this many tests (>= 32, the
-#: gate's floor; sized like a chain's pooled suite late in a search, where
-#: per-block numpy dispatch is fully amortized across lanes).
-POOLED_SUITE_SIZE = 384
-POOLED_PASSES = 2 if SMOKE else 4
 JSON_PATH = os.environ.get("K2_BENCH_JSON", "")
 
 #: Acceptance bar for the decode-once engine, asserted on the aggregate
@@ -74,8 +63,6 @@ MIN_FUSED_SPEEDUP = 3.0
 #: Acceptance bar for tiered promotion: aggregate proposal-churn time with
 #: the fused engine must not exceed the decoded engine's.
 MIN_CHURN_SPEEDUP = 1.0
-#: Acceptance bar for the lockstep batch tier on pooled-suite replay.
-MIN_BATCH_SPEEDUP = 2.5
 
 
 def _measure_steady(engine, program, tests, passes):
@@ -115,21 +102,12 @@ def _measure_churn(engine, program, tests, proposals):
     return steps, time.process_time() - started
 
 
-def _measure_pooled(engine, program, tests, passes):
-    """CPU seconds for whole-pool ``run_batch`` calls (the replay shape)."""
-    started = time.process_time()
-    for _ in range(passes):
-        engine.run_batch(program, tests)
-    return time.process_time() - started
-
-
 def _run_all():
     rows = []
     summary = []
     totals = {name: {"steps": 0.0, "seconds": 0.0}
               for name in ("legacy", "decoded", "fused")}
     churn_totals = {"decoded": 0.0, "fused": 0.0}
-    pooled_totals = {"fused": 0.0, "batch": 0.0}
     for name in BENCHMARKS:
         program = get_benchmark(name).program()
         tests = InputGenerator(program, seed=11).generate(NUM_TESTS)
@@ -169,30 +147,9 @@ def _run_all():
         churn_totals["decoded"] += churn_decoded_seconds
         churn_totals["fused"] += churn_fused_seconds
 
-        # Pooled-suite replay: one run_batch over a large pooled suite,
-        # lockstep batch tier vs the fused scalar loop.  Warm both (suite
-        # build / block compilation outside the timers) and assert
-        # bit-identical observables before trusting the clock.
-        pooled_tests = InputGenerator(program, seed=11).generate(
-            POOLED_SUITE_SIZE)
-        pooled_engines = {"fused": FusedEngine(), "batch": BatchedEngine()}
-        pooled_warm = {kind: engine.run_batch(program, pooled_tests)
-                       for kind, engine in pooled_engines.items()}
-        assert [o.observable() for o in pooled_warm["fused"]] == \
-            [o.observable() for o in pooled_warm["batch"]]
-        pooled = {kind: float("inf") for kind in pooled_engines}
-        for _ in range(REPEATS):
-            for kind, engine in pooled_engines.items():
-                pooled[kind] = min(pooled[kind], _measure_pooled(
-                    engine, program, pooled_tests, POOLED_PASSES))
-        for kind in pooled_engines:
-            pooled_totals[kind] += pooled[kind]
-        batch_stats = pooled_engines["batch"].stats()
-
         tput = {kind: steady[kind]["steps"]
                 / max(steady[kind]["seconds"], 1e-9) for kind in engines}
         churn_speedup = churn_decoded_seconds / max(churn_fused_seconds, 1e-9)
-        batch_speedup = pooled["fused"] / max(pooled["batch"], 1e-9)
         cache = engines["fused"].stats()
         rows.append([
             name, len(program.instructions),
@@ -201,7 +158,6 @@ def _run_all():
             f"{tput['decoded'] / tput['legacy']:.1f}x",
             f"{tput['fused'] / tput['decoded']:.1f}x",
             f"{churn_speedup:.1f}x",
-            f"{batch_speedup:.1f}x",
         ])
         summary.append({
             "benchmark": name, "instructions": len(program.instructions),
@@ -211,9 +167,6 @@ def _run_all():
             "steady_speedup": round(tput["decoded"] / tput["legacy"], 2),
             "fused_speedup": round(tput["fused"] / tput["decoded"], 2),
             "churn_speedup_fused_vs_decoded": round(churn_speedup, 2),
-            "batch_replay_speedup": round(batch_speedup, 2),
-            "batch_lanes_retired": batch_stats["lanes_retired"],
-            "batch_vector_bailouts": batch_stats["vector_bailouts"],
             "decode_cache": cache,
             "churn_steps": churn_steps,
         })
@@ -225,42 +178,32 @@ def _run_all():
     aggregate_fused = aggregate_tput("fused") / aggregate_tput("decoded")
     aggregate_churn = churn_totals["decoded"] / max(churn_totals["fused"],
                                                     1e-9)
-    aggregate_batch = pooled_totals["fused"] / max(pooled_totals["batch"],
-                                                   1e-9)
     print_table(
-        "Interpreter throughput: batch / fused / decoded / legacy (kinsn/s)",
+        "Interpreter throughput: fused / decoded / legacy (kinsn/s)",
         ["benchmark", "#inst", "legacy", "decoded", "fused",
-         "dec/leg", "fus/dec", "churn fus/dec",
-         f"batch/fus@{POOLED_SUITE_SIZE}"], rows)
+         "dec/leg", "fus/dec", "churn fus/dec"], rows)
     print(f"\naggregate steady-state speedup (decoded / legacy): "
           f"{aggregate:.2f}x (bar: {MIN_SPEEDUP}x)")
     print(f"aggregate steady-state speedup (fused / decoded): "
           f"{aggregate_fused:.2f}x (bar: {MIN_FUSED_SPEEDUP}x)")
     print(f"aggregate proposal-churn speedup (fused / decoded): "
           f"{aggregate_churn:.2f}x (bar: {MIN_CHURN_SPEEDUP}x)")
-    print(f"aggregate pooled-replay speedup (batch / fused, "
-          f"{POOLED_SUITE_SIZE}-test suites): "
-          f"{aggregate_batch:.2f}x (bar: {MIN_BATCH_SPEEDUP}x)")
     if JSON_PATH:
         with open(JSON_PATH, "w", encoding="utf-8") as handle:
             json.dump({"table": "interp_throughput", "smoke": SMOKE,
                        "aggregate_speedup": round(aggregate, 2),
                        "aggregate_fused_speedup": round(aggregate_fused, 2),
                        "aggregate_churn_speedup": round(aggregate_churn, 2),
-                       "aggregate_batch_replay_speedup":
-                           round(aggregate_batch, 2),
-                       "pooled_suite_size": POOLED_SUITE_SIZE,
                        "min_speedup_gate": MIN_SPEEDUP,
                        "min_fused_speedup_gate": MIN_FUSED_SPEEDUP,
                        "min_churn_speedup_gate": MIN_CHURN_SPEEDUP,
-                       "min_batch_replay_gate": MIN_BATCH_SPEEDUP,
                        "rows": summary}, handle, indent=2)
-    return rows, aggregate, aggregate_fused, aggregate_churn, aggregate_batch
+    return rows, aggregate, aggregate_fused, aggregate_churn
 
 
 @pytest.mark.benchmark(group="interp_throughput")
 def test_interpreter_throughput(benchmark):
-    rows, aggregate, aggregate_fused, aggregate_churn, aggregate_batch = \
+    rows, aggregate, aggregate_fused, aggregate_churn = \
         benchmark.pedantic(_run_all, rounds=1, iterations=1)
     assert len(rows) == len(BENCHMARKS)
     assert aggregate >= MIN_SPEEDUP, (
@@ -273,7 +216,3 @@ def test_interpreter_throughput(benchmark):
         f"tiered promotion must keep fused proposal churn at least "
         f"{MIN_CHURN_SPEEDUP}x the decoded engine's, got "
         f"{aggregate_churn:.2f}x")
-    assert aggregate_batch >= MIN_BATCH_SPEEDUP, (
-        f"lockstep batch tier must be at least {MIN_BATCH_SPEEDUP}x faster "
-        f"than the fused engine on {POOLED_SUITE_SIZE}-test pooled suites, "
-        f"got {aggregate_batch:.2f}x")

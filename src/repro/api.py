@@ -32,6 +32,7 @@ from typing import Iterator, List, Optional
 from .bpf import BpfProgram, HookType, assemble, get_hook
 from .bpf.maps import MapEnvironment
 from .core import CompilationResult, K2Compiler, OptimizationGoal
+from .engine import DEFAULT_ENGINE_KIND
 from .equivalence import EquivalenceOptions
 from .synthesis import SearchOptions
 
@@ -58,7 +59,7 @@ class K2Config:
     num_workers: int = 1
     executor: str = "auto"
     sync_interval: Optional[int] = None
-    engine: str = "batch"
+    engine: str = DEFAULT_ENGINE_KIND
     analysis: str = "fused"
     portfolio: bool = False
     windowed: bool = False

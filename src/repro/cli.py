@@ -47,6 +47,13 @@ from .verifier import KernelChecker
 
 __all__ = ["main"]
 
+ENGINE_HELP = ("candidate execution engine: 'fused' compiles each basic "
+               "block into one superinstruction, 'decoded' runs pre-decoded "
+               "micro-ops with a decode cache and reusable machine state, "
+               "'legacy' is the reference per-step interpreter; all three "
+               "produce bit-identical results, only throughput differs "
+               "(default: %(default)s)")
+
 
 def _search_config(args: argparse.Namespace) -> api.K2Config:
     """The :class:`~repro.api.K2Config` a flag namespace denotes.
@@ -280,19 +287,7 @@ def main(argv=None) -> int:
                                "counterexamples); omit to run each chain to "
                                "completion without mid-run sharing")
     optimize.add_argument("--engine", default=DEFAULT_ENGINE_KIND,
-                          choices=list(ENGINE_KINDS),
-                          help="candidate execution engine: 'batch' runs "
-                               "whole test suites in lockstep over "
-                               "structure-of-arrays machine images (fastest "
-                               "for pooled replay; falls back to fused for "
-                               "small batches), 'fused' compiles "
-                               "superinstruction traces per basic-block "
-                               "region, 'decoded' runs pre-decoded "
-                               "micro-ops with a decode cache and reusable "
-                               "machine state, 'legacy' is the reference "
-                               "per-step interpreter kept for ablation; all "
-                               "four produce bit-identical results "
-                               "(default: %(default)s)")
+                          choices=list(ENGINE_KINDS), help=ENGINE_HELP)
     optimize.add_argument("--portfolio", action="store_true",
                           help="portfolio equivalence front end: run the "
                                "incremental solver session and a fresh "
@@ -423,7 +418,7 @@ def main(argv=None) -> int:
     submit.add_argument("--executor", default="auto",
                         choices=["auto", "serial", "process", "thread"])
     submit.add_argument("--engine", default=DEFAULT_ENGINE_KIND,
-                        choices=list(ENGINE_KINDS))
+                        choices=list(ENGINE_KINDS), help=ENGINE_HELP)
     submit.add_argument("--analysis", default="fused",
                         choices=["fused", "legacy"])
     submit.add_argument("--windowed", action="store_true")

@@ -27,6 +27,7 @@ from ..bpf.encoder import decode_program, encode_program
 from ..bpf.hooks import HookType
 from ..bpf.maps import MapEnvironment
 from ..bpf.program import BpfProgram
+from ..engine import DEFAULT_ENGINE_KIND
 from ..equivalence import EquivalenceOptions
 from ..perf.latency_model import DEFAULT_LATENCY_MODEL
 from ..synthesis.cost import PerformanceGoal
@@ -151,7 +152,7 @@ class K2Compiler:
                  sync_interval: Optional[int] = None,
                  verify_stages: Optional[str] = None,
                  equivalence: Optional[EquivalenceOptions] = None,
-                 engine: str = "fused",
+                 engine: str = DEFAULT_ENGINE_KIND,
                  analysis: str = "fused",
                  portfolio: bool = False,
                  windowed: bool = False,

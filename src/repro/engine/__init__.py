@@ -1,6 +1,6 @@
 """Decode-once batched execution engine for the synthesis hot loop.
 
-The package splits execution into five layers:
+The package splits execution into four layers:
 
 * :mod:`repro.engine.decode` — per-instruction micro-op compilation with an
   instruction memo and an LRU whole-program decode cache;
@@ -8,25 +8,19 @@ The package splits execution into five layers:
   compiled into one exec'd callable, behind the same cache layers plus a
   per-block memo, with tiered promotion (decoded tier until a content key
   recurs, fused blocks after);
-* :mod:`repro.engine.batch` — the lockstep vectorized tier: basic blocks
-  compiled into functions over a structure-of-arrays machine image so one
-  call advances a whole test batch, with warp-style divergence masks and
-  per-lane scalar retirement;
 * :mod:`repro.engine.machine` — machine state allocated once and rewound in
   place between test cases, with per-test reset images backing the batched
   replay fast path;
 * :mod:`repro.engine.engine` — the :class:`ExecutionEngine` /
   :class:`FusedEngine` run loops, the batched ``run_batch`` API and the
   :func:`create_engine` factory behind the ``--engine
-  batch|fused|decoded|legacy`` ablation knob.
+  fused|decoded|legacy`` ablation knob.
 
-Outputs are bit-identical to :class:`repro.interpreter.Interpreter` across
-all engine kinds; the engines only change *when* dispatch and allocation
-work happens — and, for the batch tier, *how many tests* one dispatch
-advances.
+The stack is legacy (the :class:`repro.interpreter.Interpreter` oracle) →
+decoded → fused.  Outputs are bit-identical across all engine kinds; the
+engines only change *when* dispatch and allocation work happens.
 """
 
-from .batch import BatchedEngine
 from .decode import DecodedProgram, MicroOp, ProgramDecoder, compile_instruction
 from .engine import (
     DEFAULT_ENGINE_KIND, ENGINE_KINDS, ExecutionEngine, FusedEngine,
@@ -35,9 +29,14 @@ from .engine import (
 from .fuse import FusedDecoder, FusedProgram
 from .machine import ResettableMachine
 
+# The benchmark's span tracer (perfbench/tracer.py) still imports
+# BatchedEngine and wraps its run_batch, so the name stays, bound to the
+# fused engine, until the tracer drops that import.  Nothing in src/,
+# tests/ or benchmarks/ may use it.
+BatchedEngine = FusedEngine
+
 __all__ = [
-    "BatchedEngine", "DecodedProgram", "MicroOp", "ProgramDecoder",
-    "compile_instruction", "DEFAULT_ENGINE_KIND", "ENGINE_KINDS",
-    "ExecutionEngine", "FusedEngine", "create_engine", "FusedDecoder",
-    "FusedProgram", "ResettableMachine",
+    "DecodedProgram", "MicroOp", "ProgramDecoder", "compile_instruction",
+    "DEFAULT_ENGINE_KIND", "ENGINE_KINDS", "ExecutionEngine", "FusedEngine",
+    "create_engine", "FusedDecoder", "FusedProgram", "ResettableMachine",
 ]

@@ -17,9 +17,9 @@ them out of the loop:
 whole test suite, which is the shape of every hot-loop consumer (the MCMC
 accept/reject step, the verification pipeline's replay stage, the perf rig).
 
-:func:`create_engine` builds either engine from the ``--engine
-legacy|decoded`` ablation knob; both expose the same ``run`` / ``run_batch``
-surface.
+:func:`create_engine` builds an engine for the ``--engine
+fused|decoded|legacy`` ablation knob; every kind exposes the same ``run`` /
+``run_batch`` surface.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ __all__ = ["ExecutionEngine", "FusedEngine", "create_engine", "ENGINE_KINDS",
            "DEFAULT_ENGINE_KIND"]
 
 #: Engine kinds accepted by :func:`create_engine` and the CLI ``--engine``.
-ENGINE_KINDS = ("batch", "fused", "decoded", "legacy")
-DEFAULT_ENGINE_KIND = "batch"
+ENGINE_KINDS = ("fused", "decoded", "legacy")
+DEFAULT_ENGINE_KIND = "fused"
 
 
 class ExecutionEngine:
@@ -348,23 +348,15 @@ def create_engine(kind: Optional[str] = None,
                   opcode_cost_fn: Optional[Callable[[Instruction], float]] = None,
                   strict_uninitialized: bool = True,
                   decode_cache_size: int = 512):
-    """Build an execution engine for the ``--engine
-    batch|fused|decoded|legacy`` knob.
+    """Build an execution engine for the ``--engine fused|decoded|legacy``
+    knob.
 
-    ``None`` (and ``"auto"``) select the batch engine — the lockstep
-    vectorized tier, which degrades gracefully to fused execution for small
-    batches or hosts without numpy — while ``"fused"``, ``"decoded"`` and
-    ``"legacy"`` remain as ablation baselines (the throughput bench gates
-    each tier against the one below).
+    ``None`` selects :data:`DEFAULT_ENGINE_KIND`, the fused engine;
+    ``"decoded"`` and ``"legacy"`` remain as ablation baselines (the
+    throughput bench gates each tier against the one below).
     """
-    if kind is None or kind == "auto":
+    if kind is None:
         kind = DEFAULT_ENGINE_KIND
-    if kind == "batch":
-        from .batch import BatchedEngine
-        return BatchedEngine(step_limit=step_limit,
-                             opcode_cost_fn=opcode_cost_fn,
-                             strict_uninitialized=strict_uninitialized,
-                             decode_cache_size=decode_cache_size)
     if kind == "fused":
         return FusedEngine(step_limit=step_limit,
                            opcode_cost_fn=opcode_cost_fn,

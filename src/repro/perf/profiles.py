@@ -31,7 +31,7 @@ from ..bpf.maps import MapDef, MapEnvironment, MapType
 from ..bpf.opcodes import MemSize
 from ..bpf.program import BpfProgram
 from ..engine import create_engine
-from ..interpreter import Interpreter, ProgramInput
+from ..interpreter import ProgramInput
 from .latency_model import OpcodeLatencyModel
 
 __all__ = ["OpcodeProfile", "ProfileReport", "OpcodeProfiler"]
@@ -99,9 +99,7 @@ class ProfileReport:
 class OpcodeProfiler:
     """Measures per-opcode interpreter cost (the paper's §3.2 methodology)."""
 
-    def __init__(self, copies: int = 64, repeats: int = 20,
-                 interpreter: Optional[Interpreter] = None,
-                 engine=None):
+    def __init__(self, copies: int = 64, repeats: int = 20, engine=None):
         if copies <= 0 or repeats <= 0:
             raise ValueError("copies and repeats must be positive")
         self.copies = copies
@@ -110,8 +108,7 @@ class OpcodeProfiler:
         # program is decoded once and timed many times, so the numbers
         # reflect steady-state execution, not decode overhead.
         self.engine = engine if engine is not None \
-            else (interpreter or create_engine(step_limit=1_000_000))
-        self.interpreter = self.engine
+            else create_engine(step_limit=1_000_000)
 
     # ------------------------------------------------------------------ #
     def run(self, categories: Optional[Sequence[str]] = None) -> ProfileReport:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 from ..bpf import BpfProgram, HookType, assemble, get_hook
 from ..bpf.maps import MapEnvironment
 from ..corpus import get_benchmark
+from ..engine import DEFAULT_ENGINE_KIND
 from ..equivalence import EquivalenceOptions
 from ..synthesis import SearchOptions
 from ..synthesis.cost import PerformanceGoal
@@ -56,7 +57,7 @@ class JobSpec:
     sync_interval: Optional[int] = 250
     num_workers: int = 1
     executor: str = "auto"
-    engine: str = "batch"
+    engine: str = DEFAULT_ENGINE_KIND
     analysis: str = "fused"
     windowed: bool = False
     window_size: int = 24

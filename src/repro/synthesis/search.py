@@ -19,6 +19,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from ..bpf.program import BpfProgram
+from ..engine import DEFAULT_ENGINE_KIND
 from ..equivalence import EquivalenceOptions
 from ..verification import PipelineStats
 from ..verifier import KernelChecker
@@ -61,14 +62,13 @@ class SearchOptions:
     share_cache: bool = True
     #: Share discovered counterexamples across chains at generation boundaries.
     share_counterexamples: bool = True
-    #: Execution engine for candidate evaluation: ``batch`` (lockstep
-    #: vectorized tier over SoA machine images, falling back to fused for
-    #: small batches), ``fused`` (superinstruction traces compiled per
-    #: basic-block region), ``decoded`` (decode-once micro-op engine) or
-    #: ``legacy`` (the reference interpreter) — the ablation knob behind
-    #: the CLI's ``--engine``.  All four produce bit-identical search
-    #: results; only throughput differs.
-    engine: str = "batch"
+    #: Execution engine for candidate evaluation: ``fused``
+    #: (superinstruction traces compiled per basic-block region, the
+    #: default), ``decoded`` (decode-once micro-op engine) or ``legacy``
+    #: (the reference interpreter) — the ablation knob behind the CLI's
+    #: ``--engine``.  All three produce bit-identical search results; only
+    #: throughput differs.
+    engine: str = DEFAULT_ENGINE_KIND
     #: Static safety analysis implementation: ``fused`` (the unified
     #: incremental abstract interpreter of :mod:`repro.analysis`, shared by
     #: the safety checker, the pipeline pre-stage and the kernel-checker

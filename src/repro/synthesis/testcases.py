@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from ..bpf.hooks import CtxFieldKind
 from ..bpf.program import BpfProgram
 from ..engine import create_engine
-from ..interpreter import Interpreter, ProgramInput, ProgramOutput
+from ..interpreter import ProgramInput, ProgramOutput
 
 __all__ = ["TestCaseGenerator", "TestSuite"]
 
@@ -96,15 +96,11 @@ class TestSuite:
     """The growing set of tests shared by one synthesis run (Fig. 1)."""
 
     def __init__(self, source: BpfProgram, num_initial: int = 24, seed: int = 0,
-                 interpreter: Optional[Interpreter] = None,
                  engine=None):
         self.source = source
         # One long-lived engine per suite: its decode cache persists across
-        # every candidate evaluation of the owning chain.  ``interpreter`` is
-        # the pre-engine name for the same slot, kept for compatibility.
-        self.engine = engine if engine is not None \
-            else (interpreter or create_engine())
-        self.interpreter = self.engine
+        # every candidate evaluation of the owning chain.
+        self.engine = engine if engine is not None else create_engine()
         self.generator = TestCaseGenerator(source, seed=seed)
         #: How many leading tests are seed-generated (everything after them
         #: is an accumulated counterexample — the part a checkpoint stores;

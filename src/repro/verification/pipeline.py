@@ -38,7 +38,7 @@ from ..equivalence import (
     EquivalenceCache, EquivalenceChecker, EquivalenceOptions,
     EquivalenceResult, Window, WindowEquivalenceChecker,
 )
-from ..interpreter import Interpreter, ProgramInput, ProgramOutput
+from ..interpreter import ProgramInput, ProgramOutput
 from .portfolio import PortfolioEquivalenceChecker
 from .stages import (
     CacheLookupStage, FullSymbolicStage, InterpreterReplayStage, StageOutcome,
@@ -183,7 +183,6 @@ class VerificationPipeline:
     def __init__(self, options: Optional[EquivalenceOptions] = None,
                  cache: Optional[EquivalenceCache] = None,
                  stages: Optional[List[VerificationStage]] = None,
-                 interpreter: Optional[Interpreter] = None,
                  max_pool_size: int = 64,
                  engine=None,
                  analyzer=None,
@@ -198,11 +197,8 @@ class VerificationPipeline:
         self.analyzer = analyzer
         # One long-lived execution engine feeds the replay stage (and is
         # shared with the owning chain's test suite when the caller passes
-        # the same instance); ``interpreter`` is the pre-engine name for the
-        # same slot, kept for compatibility.
-        self.engine = engine if engine is not None \
-            else (interpreter or create_engine())
-        self.interpreter = self.engine
+        # the same instance).
+        self.engine = engine if engine is not None else create_engine()
         # The solver-backed front ends: single incremental checkers, or —
         # with ``options.portfolio`` — deterministic two-solver portfolios
         # that bound the incremental sessions' worst case (Table 4).

@@ -12,7 +12,9 @@ batched run is indistinguishable from N sequential :meth:`run` calls:
   the first faulting output;
 * ``expected=`` returns exactly the prefix up to and including the first
   output whose ``observable()`` diverges from the aligned reference, so
-  ``len(result) - 1`` is the refuting index.
+  ``len(result) - 1`` is the refuting index; ``expected_observables=``
+  (the reference's precomputed ``observable()`` tuples, the form the
+  replay stage passes) returns the same prefix.
 
 Hypothesis drives the candidate shapes (proposal-mutation chains over
 corpus programs) and the batch shapes (sizes, duplicate tests, early-exit
@@ -114,6 +116,11 @@ class TestBatchEqualsSequential:
                       for test in tests]
         got = create_engine(kind).run_batch(candidate, tests,
                                             expected=expected)
+        got_by_observable = create_engine(kind).run_batch(
+            candidate, tests,
+            expected_observables=[o.observable() for o in expected])
+        assert [output_fingerprint(o) for o in got_by_observable] == \
+            [output_fingerprint(o) for o in got]
         diverging = [index for index, (a, b) in
                      enumerate(zip(sequential, expected))
                      if a.observable() != b.observable()]

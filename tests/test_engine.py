@@ -17,8 +17,8 @@ from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapDef, MapEnvironment, MapState, MapType
 from repro.corpus import all_benchmarks, get_benchmark
 from repro.engine import (
-    ENGINE_KINDS, ExecutionEngine, ProgramDecoder, ResettableMachine,
-    create_engine,
+    DEFAULT_ENGINE_KIND, ENGINE_KINDS, ExecutionEngine, ProgramDecoder,
+    ResettableMachine, create_engine,
 )
 from repro.interpreter import Interpreter, ProgramInput
 from repro.interpreter.interpreter import run_program
@@ -279,19 +279,16 @@ class TestEngineFactory:
     def test_kinds(self):
         assert isinstance(create_engine(), ExecutionEngine)
         assert isinstance(create_engine("decoded"), ExecutionEngine)
-        assert isinstance(create_engine("auto"), ExecutionEngine)
         legacy = create_engine("legacy")
         assert isinstance(legacy, Interpreter)
         assert legacy.kind == "legacy"
-        assert set(ENGINE_KINDS) == {"batch", "fused", "decoded", "legacy"}
-        # The default and "auto" select the lockstep batch tier (which
-        # itself falls back to fused below its minimum batch size).
-        assert create_engine().kind == "batch"
-        assert create_engine("auto").kind == "batch"
+        assert set(ENGINE_KINDS) == {"fused", "decoded", "legacy"}
+        assert create_engine().kind == DEFAULT_ENGINE_KIND == "fused"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            create_engine("vectorized")
+        for kind in ("vectorized", "batch", "auto"):
+            with pytest.raises(ValueError):
+                create_engine(kind)
 
     def test_engine_pickles_with_warm_caches(self):
         engine = ExecutionEngine(step_limit=1000)

@@ -18,7 +18,7 @@ from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.instruction import NOP
 from repro.bpf.maps import MapEnvironment
 from repro.corpus import all_benchmarks, get_benchmark
-from repro.engine import BatchedEngine, ExecutionEngine, FusedEngine
+from repro.engine import ExecutionEngine, FusedEngine
 from repro.interpreter import Interpreter, ProgramInput
 from repro.perf.latency_model import DEFAULT_LATENCY_MODEL
 from repro.synthesis import SearchOptions, Synthesizer
@@ -35,21 +35,18 @@ def prog(text, hook=HookType.XDP, maps=None):
 
 
 def assert_three_way_identical(program, tests, **engine_kwargs):
-    """Legacy, decoded, fused and batch must agree bit for bit.
+    """Legacy, decoded and fused must agree bit for bit.
 
     ``promote_after=1`` forces eager trace compilation so the fused code
-    generator (not the pre-promotion decoded tier) is what's compared;
-    ``batch_min_lanes=1`` forces the lockstep tier even for tiny batches.
+    generator (not the pre-promotion decoded tier) is what's compared.
     """
     outputs = {
         "legacy": Interpreter(**engine_kwargs).run_batch(program, tests),
         "decoded": ExecutionEngine(**engine_kwargs).run_batch(program, tests),
         "fused": FusedEngine(promote_after=1,
                              **engine_kwargs).run_batch(program, tests),
-        "batch": BatchedEngine(promote_after=1, batch_min_lanes=1,
-                               **engine_kwargs).run_batch(program, tests),
     }
-    for kind in ("decoded", "fused", "batch"):
+    for kind in ("decoded", "fused"):
         for test, a, b in zip(tests, outputs["legacy"], outputs[kind]):
             assert output_fingerprint(a) == output_fingerprint(b), (
                 f"{kind} diverges from legacy on {program.name}:\n"
@@ -93,9 +90,7 @@ class TestFusedDifferentialFuzz:
         checked = 0
         faults_seen = set()
         engines = {"legacy": Interpreter(), "decoded": ExecutionEngine(),
-                   "fused": FusedEngine(promote_after=1),
-                   "batch": BatchedEngine(promote_after=1,
-                                          batch_min_lanes=1)}
+                   "fused": FusedEngine(promote_after=1)}
         for name in names:
             source = get_benchmark(name).program()
             proposer = ProposalGenerator(source, rng)
@@ -107,7 +102,7 @@ class TestFusedDifferentialFuzz:
                 candidate = source.with_instructions(current)
                 outputs = {kind: engine.run_batch(candidate, tests)
                            for kind, engine in engines.items()}
-                for kind in ("decoded", "fused", "batch"):
+                for kind in ("decoded", "fused"):
                     for a, b in zip(outputs["legacy"], outputs[kind]):
                         assert output_fingerprint(a) == \
                             output_fingerprint(b), (

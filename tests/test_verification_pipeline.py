@@ -6,9 +6,11 @@ import pytest
 
 from repro.bpf import BpfProgram, HookType, NOP, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
+from repro.corpus import get_benchmark
 from repro.equivalence import EquivalenceOptions
 from repro.synthesis import MarkovChain
 from repro.synthesis import TestSuite as SynthTestSuite
+from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 from repro.verification import (
     StageOutcome, VerificationPipeline, changed_window,
     summarize_verification_stats,
@@ -103,6 +105,68 @@ class TestStageEscalation:
         assert by_stage["window"] == StageOutcome.SKIP
         assert outcome.concluded_by == "full"
         assert outcome.result.equivalent
+
+
+class TestAdaptiveReplay:
+    """The replay stage runs the pool in refutation-frequency order, so a
+    doomed candidate meets its most likely refuter first."""
+
+    def _divergent_pair(self):
+        source = get_benchmark("xdp_exception").program()
+        # Flip the return value: diverges on every test.
+        candidate = source.with_instructions(
+            assemble("mov64 r0, 3\nexit") + list(source.instructions[2:]))
+        return source, candidate
+
+    def _pipeline(self, source, seed, size):
+        pipeline = VerificationPipeline()
+        tests = InputGenerator(source, seed=seed).generate(size)
+        for test in tests:
+            pipeline.add_counterexample(test)
+        pipeline._refresh_pool(source)   # source runs outside the counts below
+        return pipeline, tests
+
+    def test_replay_plan_orders_by_refutation_frequency(self):
+        source = get_benchmark("xdp_exception").program()
+        pipeline, tests = self._pipeline(source, seed=7, size=6)
+        # Make the *last* pooled test the top refuter.
+        for _ in range(3):
+            pipeline.record_refutation(tests[-1])
+        pipeline.record_refutation(tests[2])
+        planned, observables = pipeline.replay_plan(source)
+        assert planned[0].freeze_key() == tests[-1].freeze_key()
+        assert planned[1].freeze_key() == tests[2].freeze_key()
+        assert len(planned) == len(observables) == len(tests)
+        # Ties keep pool order behind the ranked tests.
+        remainder = [t.freeze_key() for t in planned[2:]]
+        assert remainder == [t.freeze_key() for t in tests[:2] + tests[3:-1]]
+        assert pipeline.stats.replay_reorders >= 1
+
+    def test_doomed_candidate_rejected_by_top_ranked_test(self):
+        source, candidate = self._divergent_pair()
+        pipeline, tests = self._pipeline(source, seed=11, size=8)
+        pipeline.record_refutation(tests[5])
+        runs = pipeline.engine.runs
+        outcome = pipeline.verify(source, candidate)
+        assert not outcome
+        assert outcome.concluded_by == "replay"
+        assert outcome.result.counterexample.freeze_key() == \
+            tests[5].freeze_key()
+        assert pipeline.engine.runs - runs == 1
+        assert pipeline.stats.stages["replay"].rejects == 1
+
+    def test_surviving_candidate_replays_full_pool(self):
+        source = get_benchmark("xdp_exception").program()
+        pipeline, _ = self._pipeline(source, seed=19, size=6)
+        runs = pipeline.engine.runs
+        # The source is equivalent to itself: replay must pass the whole
+        # pool and escalate.
+        outcome = pipeline.verify(source, source)
+        assert bool(outcome)
+        replay = next(v for v in outcome.verdicts if v.stage == "replay")
+        assert replay.outcome == StageOutcome.ESCALATE
+        assert "passed 6 pooled tests" in replay.detail
+        assert pipeline.engine.runs - runs == 6
 
 
 class TestOptionsStageList:
