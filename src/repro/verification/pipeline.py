@@ -104,11 +104,8 @@ class PipelineStats:
             name: StageStats() for name in stage_names}
         self.queries = 0
         self.inconclusive = 0
-        # Adaptive-replay counters: refutations caught by the small scalar
-        # probe vs the full lockstep batch, and how often the pool order
-        # actually differed from insertion order.
-        self.replay_probe_refutes = 0
-        self.replay_batch_refutes = 0
+        # How often the refutation-ranked replay order differed from pool
+        # insertion order.
         self.replay_reorders = 0
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
@@ -116,8 +113,6 @@ class PipelineStats:
         summary["_pipeline"] = {
             "queries": self.queries,
             "inconclusive": self.inconclusive,
-            "replay_probe_refutes": self.replay_probe_refutes,
-            "replay_batch_refutes": self.replay_batch_refutes,
             "replay_reorders": self.replay_reorders,
         }
         return summary
@@ -144,10 +139,6 @@ class PipelineStats:
         pipeline = snapshot.get("_pipeline", {})
         self.queries = int(pipeline.get("queries", 0))
         self.inconclusive = int(pipeline.get("inconclusive", 0))
-        self.replay_probe_refutes = int(
-            pipeline.get("replay_probe_refutes", 0))
-        self.replay_batch_refutes = int(
-            pipeline.get("replay_batch_refutes", 0))
         self.replay_reorders = int(pipeline.get("replay_reorders", 0))
 
     @staticmethod
@@ -185,8 +176,7 @@ class VerificationPipeline:
                  stages: Optional[List[VerificationStage]] = None,
                  max_pool_size: int = 64,
                  engine=None,
-                 analyzer=None,
-                 replay_probe_size: int = 4):
+                 analyzer=None):
         self.options = options or EquivalenceOptions()
         self.cache = cache if cache is not None else EquivalenceCache()
         #: Fused abstract analyzer backing the static-safety pre-stage; when
@@ -237,9 +227,6 @@ class VerificationPipeline:
         #: first-divergence early exit fires in O(1) expected tests for
         #: doomed candidates.
         self._refute_counts: Dict = {}
-        #: How many top-ranked tests the replay stage runs as a scalar
-        #: probe before committing to the full lockstep batch.
-        self.replay_probe_size = replay_probe_size
 
     # ------------------------------------------------------------------ #
     # Counterexample pool

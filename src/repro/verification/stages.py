@@ -147,11 +147,12 @@ class InterpreterReplayStage(VerificationStage):
     symbolic work (the Fig. 1 feedback edge, applied inside the pipeline).
 
     The stage is *adaptive*: the pipeline ranks pooled tests by how often
-    each one refuted a recent candidate (``replay_plan``), a small probe of
-    the top-ranked tests runs first, and only probe survivors pay for the
-    full batch — which the lockstep tier executes vectorized, against
-    observables precomputed once per pool refresh rather than re-derived
-    per candidate.
+    each one refuted a recent candidate (``replay_plan``), and the whole
+    ranked pool runs as one ``run_batch`` against source observables
+    precomputed once per pool refresh rather than re-derived per
+    candidate.  The batch stops at the first divergent output, so a doomed
+    candidate usually costs one run: the test that refuted its
+    predecessors.
 
     Inside the search loop this stage is a cheap no-op safeguard: the same
     counterexamples also join the chain's test suite, so candidates reaching
@@ -171,49 +172,24 @@ class InterpreterReplayStage(VerificationStage):
         if not tests:
             return StageVerdict(self.name, StageOutcome.ESCALATE,
                                 detail="empty counterexample pool")
-        probe = pipeline.replay_probe_size
-        if not 0 < probe < len(tests):
-            probe = 0
         try:
-            if probe:
-                # Doomed candidates usually fail the most-refuting tests:
-                # a short scalar probe catches them without touching the
-                # rest of the pool.
-                refuting = self._first_divergence(
-                    pipeline, candidate, tests[:probe], observables[:probe])
-                if refuting is not None:
-                    pipeline.stats.replay_probe_refutes += 1
-                    return self._reject(refuting)
-            # One vectorized batch over the remaining pool: the candidate
-            # is decoded once, reset images are shared, and the precomputed
-            # ``observable()`` tuples give the engine a first-divergence
-            # early exit — a short return pinpoints the refuting test.
-            refuting = self._first_divergence(
-                pipeline, candidate, tests[probe:], observables[probe:])
+            # The candidate is decoded once, reset images are shared, and
+            # the precomputed ``observable()`` tuples give the engine a
+            # first-divergence early exit: a short return pinpoints the
+            # refuting test.
+            got = pipeline.engine.run_batch(
+                candidate, tests, expected_observables=observables)
         except Exception as exc:  # broken candidate: let the solver tiers
             return StageVerdict(self.name, StageOutcome.ESCALATE,
                                 detail=f"replay failed: {exc}")
-        if refuting is not None:
-            pipeline.stats.replay_batch_refutes += 1
-            return self._reject(refuting)
+        last = len(got) - 1
+        if got[last].observable() != observables[last]:
+            result = EquivalenceResult(
+                equivalent=False, counterexample=tests[last],
+                reason="refuted by pooled counterexample")
+            return StageVerdict(self.name, StageOutcome.REJECT, result)
         return StageVerdict(self.name, StageOutcome.ESCALATE,
                             detail=f"passed {len(tests)} pooled tests")
-
-    @staticmethod
-    def _first_divergence(pipeline, candidate, tests, observables):
-        """The first pooled test ``candidate`` diverges on, or None."""
-        got = pipeline.engine.run_batch(
-            candidate, tests, expected_observables=observables)
-        last = len(got) - 1
-        if got and got[last].observable() != observables[last]:
-            return tests[last]
-        return None
-
-    def _reject(self, refuting) -> StageVerdict:
-        result = EquivalenceResult(
-            equivalent=False, counterexample=refuting,
-            reason="refuted by pooled counterexample")
-        return StageVerdict(self.name, StageOutcome.REJECT, result)
 
 
 class CacheLookupStage(VerificationStage):

@@ -142,7 +142,7 @@ class TestAdaptiveReplay:
         assert remainder == [t.freeze_key() for t in tests[:2] + tests[3:-1]]
         assert pipeline.stats.replay_reorders >= 1
 
-    def test_doomed_candidate_rejected_by_top_ranked_test(self):
+    def test_doomed_candidate_dies_on_top_ranked_test(self):
         source, candidate = self._divergent_pair()
         pipeline, tests = self._pipeline(source, seed=11, size=8)
         pipeline.record_refutation(tests[5])
