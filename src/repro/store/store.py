@@ -18,7 +18,9 @@ following line is one record carrying its own checksum:
   key) → :class:`~repro.equivalence.EquivalenceResult`;
 * ``cex``  — one counterexample test case discovered against a source;
 * ``an``   — one safety-analysis memo: program content key →
-  :class:`~repro.analysis.AnalysisOutcome`.
+  :class:`~repro.analysis.AnalysisOutcome`;
+* ``ck``   — one resumable-search checkpoint generation of a running job,
+  or the ``clear`` that ends the job's checkpoint.
 
 Staleness is handled by *versioning the key*, never by trusting mtimes: a
 header whose semantics stamp differs from the running code makes the whole
@@ -36,7 +38,7 @@ warm-started search bit-identical to a cold one.
 Durability and concurrency
 --------------------------
 Appends happen under an exclusive ``flock`` on a sidecar lock file, as a
-single buffered write followed by ``fsync``; compaction (``gc``) and
+single buffered write followed by ``fsync``; compaction and
 first-write/stale-rewrite paths write a temporary file and ``os.replace``
 it into place (atomic rename).  Readers never need the lock: a torn
 trailing line fails its JSON parse or checksum and is skipped, costing one
@@ -44,6 +46,21 @@ record, not the file.  Within a synthesis run the write path is
 single-writer by construction — worker chains buffer their discoveries and
 the :class:`~repro.synthesis.parallel.ChainController` merges and flushes
 them at generation boundaries.
+
+Compaction
+----------
+Checkpoints are the only records that go dead.  A running job appends one
+``ck`` generation per generation boundary, each superseding the last;
+when the job (or one of its windows or shards) finishes or is cancelled,
+the flush that carries its ``clear`` re-reads the file under the writer
+lock and rewrites it without that history, keeping every other writer's
+records and each still-running job's newest generation.  So a shared
+store (``k2 serve``) stays the size of its verdicts instead of growing by
+every finished job's checkpoints.  Where a rewrite could lose something —
+the re-read meets a stale header, a corrupt line or an unknown record
+kind, or the writer lock degraded to no lock — the flush only appends and
+leaves the file to ``k2 store verify`` and ``k2 store gc``.  ``gc``
+rewrites unconditionally, from the same under-lock re-read.
 """
 
 from __future__ import annotations
@@ -113,7 +130,9 @@ def _lockfile_lock(lock_path: str):
     A holder that crashes leaves the file behind; waiters break locks older
     than :data:`_LOCKFILE_TIMEOUT` (and locks whose age cannot be read)
     rather than deadlocking — the store's per-record checksums already make
-    a torn interleaved append cost one record, not the file.
+    a torn interleaved append cost one record, not the file.  Yields
+    whether the lock is held: False once the wait gave up and the writer
+    goes ahead unlocked.
     """
     deadline = time.monotonic() + _LOCKFILE_TIMEOUT
     acquired = False
@@ -141,7 +160,7 @@ def _lockfile_lock(lock_path: str):
             _warn_lock_fallback(f"cannot create lock file: {exc}")
             break
     try:
-        yield
+        yield acquired
     finally:
         if acquired:
             with contextlib.suppress(OSError):
@@ -154,19 +173,20 @@ def _file_lock(path: str):
 
     ``flock`` where available; elsewhere the lock-file fallback above (with
     a one-time warning).  Every writer path — append, stale rewrite and
-    ``gc`` compaction — takes this same lock, so maintenance can never race
+    compaction — takes this same lock, so maintenance can never race
     an append's view of the file or another rewrite's atomic rename.
+    Yields whether the lock is really held (see :func:`_lockfile_lock`).
     """
     lock_path = path + ".lock"
     if _fcntl is None:  # non-POSIX platform
         _warn_lock_fallback("fcntl unavailable on this platform")
-        with _lockfile_lock(lock_path):
-            yield
+        with _lockfile_lock(lock_path) as held:
+            yield held
         return
     with open(lock_path, "a", encoding="utf-8") as handle:
         _fcntl.flock(handle, _fcntl.LOCK_EX)
         try:
-            yield
+            yield True
         finally:
             _fcntl.flock(handle, _fcntl.LOCK_UN)
 
@@ -210,6 +230,8 @@ class VerdictStore:
         #: checkpoint per job (see :meth:`record_checkpoint`).
         self._checkpoints: Dict[str, Tuple[int, dict]] = {}
         self._pending: List[str] = []
+        #: ``_pending`` holds a checkpoint clear: the next flush compacts.
+        self._pending_clear = False
         self.records_loaded = 0
         self.corrupt_records = 0
         self.skipped_records = 0
@@ -439,8 +461,10 @@ class VerdictStore:
 
         ``payload`` must be plain JSON data (the checkpoint codec in
         :mod:`repro.synthesis.checkpoint` produces it).  Unlike verdicts,
-        checkpoints *replace*: only the newest generation per job is served
-        (the append-only log keeps history until ``gc`` compacts it).
+        checkpoints *replace*: only the newest generation per job is served.
+        The log keeps a running job's superseded generations; the flush
+        that carries its :meth:`clear_checkpoint` sheds its whole history
+        (as does ``gc``).
         """
         self._checkpoints[str(job)] = (int(generation), payload)
         self._queue({"t": "ck", "job": str(job), "gen": int(generation),
@@ -452,6 +476,7 @@ class VerdictStore:
             return False
         self._checkpoints.pop(str(job), None)
         self._queue({"t": "ck", "job": str(job), "clear": 1})
+        self._pending_clear = True
         return True
 
     def checkpoint_for(self, job: str) -> Optional[Tuple[int, dict]]:
@@ -468,12 +493,16 @@ class VerdictStore:
 
         Appends under the writer lock when the file is healthy; rewrites
         the whole file atomically when it is missing or stale (wrong or
-        corrupt header / old semantics stamp).
+        corrupt header / old semantics stamp).  When the records carry a
+        checkpoint clear (a job, window or shard ended), the append is
+        followed by a compaction under the same lock (see
+        :meth:`_compact_locked`), so finished jobs leave no checkpoint
+        history behind for every later load to parse.
         """
         if not self._pending and not self.stale:
             return 0
         written = len(self._pending)
-        with _file_lock(self.path):
+        with _file_lock(self.path) as locked:
             # A missing or stale file is normally healed by an atomic full
             # rewrite — but only after re-probing the header *under the
             # lock*: a second writer that loaded the same stale file may
@@ -485,13 +514,45 @@ class VerdictStore:
                     and not self._disk_header_ok():
                 self._rewrite_locked()
             elif self._pending:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write("".join(self._pending))
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                self._append_locked()
+                # Without a real lock another writer may be appending right
+                # now, and a rewrite could lose its records: append only.
+                if self._pending_clear and locked:
+                    self._compact_locked()
         self._pending = []
+        self._pending_clear = False
         self.stale = False
         return written
+
+    def _append_locked(self) -> None:
+        if not self._pending:
+            return
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write("".join(self._pending))
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def _reread_locked(self) -> "VerdictStore":
+        """The file as it stands now, under the writer lock.
+
+        Includes what other writers appended since this store's own load,
+        which is what a rewrite must keep.
+        """
+        return VerdictStore(self.path, semantics=self.semantics)
+
+    def _compact_locked(self) -> None:
+        """Shed dead checkpoint history: rewrite the file from a re-read.
+
+        The rewrite keeps verdicts, counterexamples, analysis memos and
+        the newest checkpoint of each job still running, and drops
+        superseded generations and cleared jobs.  When the re-read cannot
+        account for every line — a stale header, a corrupt line or a
+        record kind this code does not know — the file is left as
+        appended, for ``verify`` to report and ``gc`` to drop.
+        """
+        disk = self._reread_locked()
+        if not (disk.stale or disk.corrupt_records or disk.skipped_records):
+            disk._rewrite_locked()
 
     def _disk_header_ok(self) -> bool:
         """Whether the on-disk file currently has a valid header.
@@ -507,7 +568,12 @@ class VerdictStore:
             return False
 
     def _snapshot_lines(self) -> List[str]:
-        """Header + every in-memory record, in a deterministic order."""
+        """Header + every in-memory record, in a deterministic order.
+
+        Each source's verdicts and counterexamples, and the analysis
+        memos, keep their load order, so a rewritten file loads back to
+        the same state.
+        """
         lines = [json.dumps({"k2store": STORE_FORMAT,
                              "semantics": self.semantics},
                             sort_keys=True, separators=(",", ":")) + "\n"]
@@ -525,25 +591,29 @@ class VerdictStore:
                       "r": encode_result(result)})
             for test in self._tests.get(digest, []):
                 emit({"t": "cex", "src": digest, "test": encode_test(test)})
-        for strict, key in sorted(self._analysis,
-                                  key=lambda k: (k[0], repr(k[1]))):
+        for (strict, key), outcome in self._analysis.items():
             emit({"t": "an", "strict": strict, "key": encode_key(key),
-                  "r": encode_outcome(self._analysis[(strict, key)])})
+                  "r": encode_outcome(outcome)})
         # Only the newest checkpoint per job survives a rewrite — this is
-        # how gc sheds superseded per-generation checkpoint history.
+        # how compaction sheds superseded per-generation checkpoint history.
         for job in sorted(self._checkpoints):
             generation, payload = self._checkpoints[job]
             emit({"t": "ck", "job": job, "gen": generation, "p": payload})
         return lines
 
-    def _rewrite_locked(self) -> None:
-        """Atomically replace the file with a clean full snapshot."""
+    def _rewrite_locked(self) -> int:
+        """Atomically replace the file with a clean full snapshot.
+
+        Returns the number of lines written.
+        """
+        lines = self._snapshot_lines()
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write("".join(self._snapshot_lines()))
+            handle.write("".join(lines))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path)
+        return len(lines)
 
     # ------------------------------------------------------------------ #
     # Maintenance (the `k2 store` subcommand)
@@ -574,21 +644,30 @@ class VerdictStore:
     def gc(self) -> Dict[str, int]:
         """Compact the file: drop corrupt/stale/duplicate records, rewrite.
 
-        Returns how many records were kept and how many lines the rewrite
-        shed (corrupt lines, superseded duplicates, foreign-version bulk).
+        Unlike the compaction a checkpoint clear triggers, ``gc`` always
+        rewrites.  It first appends this store's pending records and
+        re-reads the file under the writer lock, so what other writers
+        appended since this store's load survives; a stale or missing
+        file is rewritten from this store's own state instead.  Returns
+        how many records were kept and how many lines the rewrite shed
+        (corrupt lines, superseded duplicates, foreign-version bulk).
         """
-        before = 0
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as handle:
-                before = sum(1 for line in handle if line.strip())
         with _file_lock(self.path):
-            self._rewrite_locked()
+            before = 0
+            if os.path.exists(self.path):
+                with open(self.path, "r", encoding="utf-8") as handle:
+                    before = sum(1 for line in handle if line.strip())
+            kept = self
+            if self._disk_header_ok():
+                self._append_locked()
+                kept = self._reread_locked()
+            after = kept._rewrite_locked()
         self._pending = []
+        self._pending_clear = False
         self.stale = False
-        after = len(self._snapshot_lines())
         return {"lines_before": before, "lines_after": after,
                 "dropped": max(before - after, 0),
-                "corrupt_dropped": self.corrupt_records}
+                "corrupt_dropped": kept.corrupt_records}
 
     def verify(self) -> Dict[str, object]:
         """Integrity scan of the backing file (no mutation).

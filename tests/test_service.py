@@ -94,7 +94,8 @@ class TestCheckpointRecords:
         store.flush()
         assert VerdictStore(path).checkpoint_for("job-a") == (2, {"version": 2})
 
-        # Clearing tombstones the job; gc then drops the dead lines.
+        # Clearing drops the job (its flush compacts the dead lines away);
+        # the live job survives that and a gc.
         assert store.clear_checkpoint("job-a") is True
         store.flush()
         reread = VerdictStore(path)
@@ -428,9 +429,12 @@ class TestDaemonEndToEnd:
         assert job["cancel_requested"]
         job = harness.client.wait(job_id, timeout=60)
         assert job["state"] == "cancelled"
-        # The dead job's checkpoint was dropped from the shared store.
-        store = VerdictStore(os.path.join(harness.state_dir, "store.k2s"))
-        assert store.checkpoint_for(job_id) is None
+        # The dead job's checkpoint was dropped from the shared store, and
+        # with every job finished no checkpoint history is left on disk.
+        path = os.path.join(harness.state_dir, "store.k2s")
+        assert VerdictStore(path).checkpoint_for(job_id) is None
+        with open(path, "r", encoding="utf-8") as handle:
+            assert '"t":"ck"' not in handle.read()
 
     def test_bad_requests_are_answered_not_fatal(self, harness):
         harness.start()

@@ -4,7 +4,8 @@ Three layers of coverage:
 
 * the serialization codecs and the :class:`~repro.store.VerdictStore` file
   format (round-trips, dedup, the unknown-verdict exclusion, corruption and
-  partial-write recovery, semantics-version staleness, concurrent writers);
+  partial-write recovery, semantics-version staleness, concurrent writers,
+  checkpoint compaction and ``gc`` under concurrent appends);
 * the cache satellites that ride along (canonical-key memoization, explicit
   eviction accounting, store-origin hit tracking);
 * the integration contract: a warm-started search is bit-identical to a
@@ -14,6 +15,8 @@ Three layers of coverage:
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -309,6 +312,197 @@ class TestCorruptionRecovery:
         merged = VerdictStore(path)
         assert merged.verdicts_for(a_src) and merged.verdicts_for(b_src)
         assert merged.corrupt_records == 0
+
+
+# --------------------------------------------------------------------------- #
+def record_kinds(path):
+    """The ``t`` of every record line on disk (header excluded)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()[1:]
+    return [json.loads(line)["t"] for line in lines]
+
+
+def read_text(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+def add_verdict(store, index):
+    source = prog(f"mov64 r0, {index}\nexit")
+    store.record_verdict(source, EquivalenceCache.canonicalize(source),
+                         sample_result(equivalent=True))
+    return source
+
+
+class TestCheckpointCompaction:
+    """The flush that carries a checkpoint clear sheds dead history."""
+
+    def test_finished_jobs_leave_no_checkpoint_history(self, tmp_path):
+        path = str(tmp_path / "v.k2s")
+        payload = {"blob": "x" * 20_000}
+        for job in range(20):
+            store = VerdictStore(path)  # every job loads afresh, as served
+            add_verdict(store, job)
+            store.flush()
+            for generation in (1, 2):
+                store.record_checkpoint(f"job-{job}", generation, payload)
+                store.flush()
+            assert store.clear_checkpoint(f"job-{job}")
+            store.flush()
+        assert record_kinds(path) == ["src", "eq"] * 20
+        assert os.path.getsize(path) < 20_000  # not one payload left
+        reloaded = VerdictStore(path)
+        assert reloaded.checkpoint_jobs() == []
+        assert all(reloaded.verdicts_for(prog(f"mov64 r0, {job}\nexit"))
+                   for job in range(20))
+
+    def test_compaction_keeps_other_writers_records(self, tmp_path):
+        path = str(tmp_path / "v.k2s")
+        writer_a = VerdictStore(path)
+        writer_a.record_checkpoint("job-a", 1, {"v": 1})
+        writer_a.flush()
+        writer_b = VerdictStore(path)  # loads after A's checkpoint
+        for generation in (1, 2):
+            writer_b.record_checkpoint("job-b", generation, {"v": generation})
+            writer_b.flush()
+        b_src = add_verdict(writer_b, 2)
+        writer_b.flush()
+
+        a_src = add_verdict(writer_a, 1)
+        writer_a.clear_checkpoint("job-a")
+        writer_a.flush()  # compacts from a re-read, not from A's memory
+        assert record_kinds(path) == ["src", "eq", "src", "eq", "ck"]
+        merged = VerdictStore(path)
+        assert merged.checkpoint_jobs() == ["job-b"]
+        assert merged.checkpoint_for("job-b") == (2, {"v": 2})
+        assert merged.verdicts_for(a_src) and merged.verdicts_for(b_src)
+
+        compacted = read_text(path)
+        writer_b.record_checkpoint("job-b", 3, {"v": 3})
+        b_next = add_verdict(writer_b, 3)
+        writer_b.flush()  # no clear: a plain append to the compacted file
+        assert read_text(path).startswith(compacted)
+        merged = VerdictStore(path)
+        assert merged.checkpoint_for("job-b") == (3, {"v": 3})
+        assert merged.verdicts_for(b_next)
+        writer_b.clear_checkpoint("job-b")
+        writer_b.flush()
+        assert "ck" not in record_kinds(path)
+
+    @pytest.mark.parametrize("damage", ["corrupt", "unknown-kind",
+                                        "stale-header"])
+    def test_unreadable_records_block_compaction(self, tmp_path, damage):
+        path = str(tmp_path / "v.k2s")
+        store = VerdictStore(path)
+        source = add_verdict(store, 1)
+        store.record_checkpoint("job", 1, {"v": 1})
+        store.flush()
+        if damage == "stale-header":
+            # Newer code re-stamped the file after this store loaded it.
+            newer = VerdictStore(path, semantics=SEMANTICS_VERSION + "-next")
+            newer.record_analysis(source.content_key(), AnalysisOutcome(()))
+            newer.flush()
+        else:
+            record = {"t": "future-kind", "payload": [1, 2]}
+            record["c"] = record_checksum(record)
+            line = ("}} not json {{" if damage == "corrupt" else
+                    json.dumps(record, sort_keys=True, separators=(",", ":")))
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line + "\n")
+        before = read_text(path)
+        store.clear_checkpoint("job")
+        store.flush()
+        after = read_text(path)
+        assert after.startswith(before) and after != before  # appended only
+
+        if damage == "stale-header":
+            newer = VerdictStore(path, semantics=SEMANTICS_VERSION + "-next")
+            assert newer.analysis_entries()  # the newer records survive
+            return
+        report = store.verify()
+        if damage == "corrupt":
+            assert report["corrupt"] == 1 and not report["ok"]
+        else:
+            assert report["skipped"] == 1
+        assert store.gc()["dropped"] >= 3  # the damage and both ck lines
+        assert record_kinds(path) == ["src", "eq"]
+        assert VerdictStore(path).verify()["ok"]
+
+    def test_degraded_lock_only_appends(self, tmp_path, monkeypatch):
+        import repro.store.store as store_module
+
+        monkeypatch.setattr(store_module, "_fcntl", None)
+        monkeypatch.setattr(store_module, "_LOCKFILE_TIMEOUT", 0.05)
+        monkeypatch.setattr(store_module, "_warned_fallback", False)
+        path = str(tmp_path / "v.k2s")
+        store = VerdictStore(path)
+        store.record_checkpoint("job", 1, {"v": 1})
+        with pytest.warns(RuntimeWarning, match="lock degraded"):
+            store.flush()  # lock file free: acquired
+        # A holder that never lets go (its mtime is in the future, so it
+        # never reads as stale): the writer gives up and goes unlocked.
+        lock_path = path + ".lock"
+        open(lock_path, "w").close()
+        future = os.path.getmtime(lock_path) + 3600
+        os.utime(lock_path, (future, future))
+        store.clear_checkpoint("job")
+        store.flush()
+        assert record_kinds(path) == ["ck", "ck"]  # generation 1 + clear
+
+        os.unlink(lock_path)  # with the lock-file lock held, it compacts
+        store.record_checkpoint("job-2", 1, {"v": 1})
+        store.clear_checkpoint("job-2")
+        store.flush()
+        assert record_kinds(path) == []
+
+    def test_gc_keeps_records_appended_since_its_load(self, tmp_path):
+        path = str(tmp_path / "v.k2s")
+        writer_a = VerdictStore(path)
+        writer_b = VerdictStore(path)
+        writer_b.record_checkpoint("job-b", 1, {"v": 1})
+        b_src = add_verdict(writer_b, 2)
+        writer_b.flush()
+        report = writer_a.gc()
+        assert report["dropped"] == 0
+        merged = VerdictStore(path)
+        assert merged.verdicts_for(b_src)
+        assert merged.checkpoint_for("job-b") == (1, {"v": 1})
+
+    def test_concurrent_job_lifecycles_lose_nothing(self, tmp_path):
+        """More writers than cores, each running job after job on its own
+        freshly loaded store: every verdict survives, no history stays."""
+        path = str(tmp_path / "v.k2s")
+        writers, jobs = 4, 5
+
+        def run(writer):
+            for job in range(jobs):
+                store = VerdictStore(path)
+                add_verdict(store, writer * jobs + job)
+                for generation in (1, 2):
+                    store.record_checkpoint(f"w{writer}-{job}", generation,
+                                            {"blob": "x" * 1000})
+                    store.flush()
+                store.clear_checkpoint(f"w{writer}-{job}")
+                store.flush()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(writer,))
+                       for writer in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        merged = VerdictStore(path)
+        assert merged.corrupt_records == 0
+        assert merged.checkpoint_jobs() == []
+        assert "ck" not in record_kinds(path)
+        assert all(merged.verdicts_for(prog(f"mov64 r0, {index}\nexit"))
+                   for index in range(writers * jobs))
 
 
 # --------------------------------------------------------------------------- #
