@@ -13,7 +13,7 @@ rewrites over corpus benchmarks, exactly what
 through the analyzer twice:
 
 * **scratch** — every program analyzed with all memo layers disabled
-  (the cost the legacy two-pass analysis structure forces);
+  (what a checker without memos pays per proposal);
 * **incremental** — one long-lived analyzer, as a chain holds it.
 
 Verdicts are asserted identical pair-wise; the acceptance gate is on the

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core import K2Compiler, OptimizationGoal
+from repro.api import K2Config
+from repro.core import OptimizationGoal
 from repro.corpus import get_benchmark
 from repro.synthesis import ParameterSetting
 
@@ -54,11 +55,12 @@ def run_search(benchmark_name: str,
     bit-identical either way.
     """
     source = get_benchmark(benchmark_name).program()
-    compiler = K2Compiler(goal=goal, iterations_per_chain=iterations,
-                          num_parameter_settings=num_settings, seed=seed,
-                          num_workers=num_workers, executor=executor,
-                          sync_interval=sync_interval, engine=engine)
-    result = compiler.optimize(source, settings=settings)
+    config = K2Config(
+        goal="latency" if goal == OptimizationGoal.LATENCY else "size",
+        iterations=iterations, settings=num_settings, seed=seed,
+        num_workers=num_workers, executor=executor,
+        sync_interval=sync_interval, engine=engine)
+    result = config.compiler().optimize(source, settings=settings)
     return source, result
 
 

@@ -11,7 +11,7 @@ Run with::
     python examples/corpus_compaction.py
 """
 
-from repro.core import K2Compiler, OptimizationGoal
+from repro.api import K2Config
 from repro.corpus import get_benchmark
 from repro.verifier import KernelChecker
 
@@ -25,9 +25,8 @@ def main() -> None:
     checker = KernelChecker()
     for name in BENCHMARKS:
         source = get_benchmark(name).program()
-        compiler = K2Compiler(goal=OptimizationGoal.INSTRUCTION_COUNT,
-                              iterations_per_chain=3000,
-                              num_parameter_settings=2, seed=5)
+        compiler = K2Config(goal="size", iterations=3000, settings=2,
+                            seed=5).compiler()
         result = compiler.optimize(source)
         best = result.search.best
         found_at = best.found_at_iteration if best else 0

@@ -14,13 +14,13 @@ Run with::
     python examples/phase_ordering.py
 """
 
+from repro.api import K2Config
 from repro.baseline import OptimizationLevel, RuleBasedCompiler
 from repro.bpf import builders
 from repro.bpf.helpers import XDP_PASS
 from repro.bpf.hooks import HookType
 from repro.bpf.opcodes import MemSize
 from repro.bpf.program import BpfProgram
-from repro.core import K2Compiler, OptimizationGoal
 from repro.verifier import KernelChecker
 
 
@@ -61,9 +61,8 @@ def main() -> None:
     for blocked in aware_result.blocked:
         print(f"    blocked {blocked.rule}: {blocked.note}")
 
-    compiler = K2Compiler(goal=OptimizationGoal.INSTRUCTION_COUNT,
-                          iterations_per_chain=1500,
-                          num_parameter_settings=1, seed=11)
+    compiler = K2Config(goal="size", iterations=1500, settings=1,
+                        seed=11).compiler()
     k2_result = compiler.optimize(source)
     describe("K2 (synthesis)", k2_result.optimized)
 

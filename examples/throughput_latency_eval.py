@@ -12,7 +12,7 @@ Run with::
     python examples/throughput_latency_eval.py
 """
 
-from repro.core import K2Compiler, OptimizationGoal
+from repro.api import K2Config
 from repro.corpus import get_benchmark
 from repro.perf import BenchmarkRig
 
@@ -23,9 +23,8 @@ def main() -> None:
     for name in BENCHMARKS:
         bench = get_benchmark(name)
         source = bench.program()
-        compiler = K2Compiler(goal=OptimizationGoal.LATENCY,
-                              iterations_per_chain=600,
-                              num_parameter_settings=1, seed=3)
+        compiler = K2Config(goal="latency", iterations=600, settings=1,
+                            seed=3).compiler()
         optimized = compiler.optimize(source).optimized
 
         rig_src = BenchmarkRig(source, packets_per_trial=4000)

@@ -3,13 +3,16 @@
 One product domain — pointer provenance × tnums (known bits) × value
 intervals — analyzed over basic blocks with per-block input-state
 memoization, so the synthesis hot loop only re-analyzes the blocks an MCMC
-proposal actually changed.  Powers :class:`repro.safety.SafetyChecker` and
-:class:`repro.verifier.KernelChecker` in their default ``fused`` mode and
-the verification pipeline's static-safety pre-stage; select ``legacy`` via
-``SearchOptions.analysis`` / CLI ``--analysis`` for the ablation baseline.
+proposal actually changed.  Powers :class:`repro.safety.SafetyChecker`,
+:class:`repro.verifier.KernelChecker` and the verification pipeline's
+static-safety pre-stage; :func:`states_before` exposes the same analysis
+per instruction for window preconditions (§5 opt. IV), window planning and
+the peephole baseline.
 """
 
-from .analyzer import AbstractAnalyzer, AnalysisOutcome
+from .analyzer import (
+    AbstractAnalyzer, AnalysisOutcome, pointer_info, states_before,
+)
 from .domains import AbsVal, scalar_alu_transfer
 from .state import AnalysisState
 from .tnum import Tnum
@@ -19,19 +22,6 @@ from .verdicts import SafetyResult, SafetyViolation, SafetyViolationKind
 __all__ = [
     "AbstractAnalyzer", "AnalysisOutcome", "AbsVal", "AnalysisState",
     "Tnum", "SafetyResult", "SafetyViolation", "SafetyViolationKind",
-    "scalar_alu_transfer", "refine_branch", "transfer",
-    "ANALYSIS_KINDS", "resolve_analysis_kind",
+    "scalar_alu_transfer", "refine_branch", "transfer", "pointer_info",
+    "states_before",
 ]
-
-#: The selectable analysis implementations (the ``--analysis`` ablation).
-ANALYSIS_KINDS = ("fused", "legacy")
-
-
-def resolve_analysis_kind(kind) -> str:
-    """Normalize an ``--analysis`` value, defaulting to ``fused``."""
-    if kind is None:
-        return "fused"
-    if kind not in ANALYSIS_KINDS:
-        raise ValueError(f"unknown analysis kind {kind!r}; "
-                         f"choose from {', '.join(ANALYSIS_KINDS)}")
-    return kind

@@ -3,8 +3,11 @@
 :class:`AbstractAnalyzer` runs the fused product domain
 (:mod:`repro.analysis.domains`) over a program's basic blocks and produces
 the complete §6 verdict — the engine behind
-:class:`repro.safety.SafetyChecker` in ``fused`` mode and the pipeline's
-static-safety pre-stage.
+:class:`repro.safety.SafetyChecker` and the pipeline's static-safety
+pre-stage.  :func:`states_before` walks the same blocks with the same
+transfer, refinement and joins but records the state before every
+instruction instead of checking it: the per-point facts that window
+preconditions (§5 opt. IV), window planning and the peephole baseline read.
 
 Incrementality for the synthesis hot loop
 -----------------------------------------
@@ -36,14 +39,17 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bpf.helpers import HELPERS
+from ..bpf.hooks import Hook
 from ..bpf.instruction import Instruction
 from ..bpf.program import BpfProgram
+from ..bpf.regions import MemRegion
 from .checks import check_instruction
 from .state import AnalysisState
 from .transfer import refine_branch, transfer
 from .verdicts import SafetyViolation, SafetyViolationKind
 
-__all__ = ["AnalysisOutcome", "AbstractAnalyzer"]
+__all__ = ["AnalysisOutcome", "AbstractAnalyzer", "pointer_info",
+           "states_before"]
 
 
 # --------------------------------------------------------------------------- #
@@ -497,19 +503,78 @@ class AbstractAnalyzer:
                 break
             state = transfer(state, insn, hook)
 
-        last = instructions[last_index]
-        out_states: Dict[str, AnalysisState] = {}
-        if last.is_exit:
-            pass
-        elif last.is_conditional_jump:
-            taken = refine_branch(state, last, taken=True)
-            fall = refine_branch(state, last, taken=False)
-            out_states["taken"] = taken
-            out_states["fall"] = fall
-            out_states["both"] = taken.join(fall)
-        elif last.is_unconditional_jump:
-            out_states["seq"] = state.copy() if state is entry else state
-        else:
-            out_states["seq"] = transfer(state, last, hook)
         return _BlockSummary(violations=tuple(violations),
-                             out_states=out_states)
+                             out_states=_edge_states(
+                                 state, instructions[last_index], hook))
+
+
+# --------------------------------------------------------------------------- #
+# Per-instruction states (no checks, no memo)
+# --------------------------------------------------------------------------- #
+def _edge_states(state: AnalysisState, last: Instruction,
+                 hook: Hook) -> Dict[str, AnalysisState]:
+    """Output state per outgoing edge kind of a block, given the state
+    before its last instruction ``last``.
+
+    States are shared, never mutated: :func:`transfer` and
+    :func:`refine_branch` work on copies.
+    """
+    if last.is_exit:
+        return {}
+    if last.is_conditional_jump:
+        taken = refine_branch(state, last, taken=True)
+        fall = refine_branch(state, last, taken=False)
+        return {"taken": taken, "fall": fall, "both": taken.join(fall)}
+    if last.is_unconditional_jump:
+        return {"seq": state}
+    return {"seq": transfer(state, last, hook)}
+
+
+def states_before(instructions: Sequence[Instruction],
+                  hook: Hook) -> List[Optional[AnalysisState]]:
+    """The fused abstract state before each instruction.
+
+    Unreachable instructions get ``None``.  The walk is the safety
+    analysis's dataflow (same blocks, transfer, branch refinement and
+    joins), so every fact here is one the §6 verdict relied on.  A program
+    with a loop is walked once in block order: it is unsafe anyway, and
+    callers still get best-effort facts for the blocks reached forward.
+    Jump targets must lie inside the program, as for
+    :func:`repro.bpf.cfg.build_cfg`.
+    """
+    states: List[Optional[AnalysisState]] = [None] * len(instructions)
+    if not instructions:
+        return states
+    shape = _build_shape(instructions)
+    order = shape.topo_order if shape.topo_order is not None \
+        else range(len(shape.blocks))
+    entry_states: Dict[int, AnalysisState] = {0: AnalysisState.entry(hook)}
+    for block_index in order:
+        state = entry_states.get(block_index)
+        if state is None:
+            continue
+        block = shape.blocks[block_index]
+        for index in range(block.start, block.end - 1):
+            states[index] = state
+            state = transfer(state, instructions[index], hook)
+        states[block.end - 1] = state
+        out_states = _edge_states(state, instructions[block.end - 1], hook)
+        for successor, kind in block.successors:
+            out = out_states[kind]
+            existing = entry_states.get(successor)
+            entry_states[successor] = out if existing is None \
+                else existing.join(out)
+    return states
+
+
+def pointer_info(insn: Instruction, state: Optional[AnalysisState]
+                 ) -> Tuple[MemRegion, Optional[int]]:
+    """Region and concrete offset of the memory access ``insn`` makes from
+    ``state``; ``(UNKNOWN, None)`` for other instructions and unreachable
+    points, and a ``None`` offset when the base offset is unknown."""
+    if state is None or not insn.is_memory:
+        return MemRegion.UNKNOWN, None
+    base = state.regs[insn.src if insn.is_load else insn.dst]
+    if base.offset is None:
+        return base.region, None
+    return base.region, base.offset + insn.off

@@ -5,15 +5,15 @@ checklist, consumed by both unified checkers:
 
 * :class:`repro.analysis.analyzer.AbstractAnalyzer` composes them through
   :func:`check_instruction` inside its memoized per-block walk (the search
-  loop's :class:`~repro.safety.SafetyChecker` in ``fused`` mode);
-* :class:`repro.verifier.KernelChecker` in ``fused`` mode calls the
-  individual pieces from its path-sensitive ``do_check()`` walk, keeping
-  its own kernel-style rejection messages where they differ.
+  loop's :class:`~repro.safety.SafetyChecker`);
+* :class:`repro.verifier.KernelChecker` calls the individual pieces from
+  its path-sensitive ``do_check()`` walk, keeping its own kernel-style
+  rejection messages where they differ.
 
-The rules mirror the legacy :class:`~repro.safety.SafetyChecker` exactly,
-plus the checks the interpreter enforces but the legacy pass missed:
-atomic adds through context pointers, and helper arguments (map references
-and the memory regions behind key/value/params pointers).
+Besides the classic rules, they cover checks the interpreter enforces that
+the pre-fused safety pass missed: atomic adds through context pointers, and
+helper arguments (map references and the memory regions behind
+key/value/params pointers).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def check_memory_access(program: BpfProgram, insn, state: AnalysisState,
         return violations
 
     # The interpreter rejects both stores and atomic adds through context
-    # pointers (the legacy checker missed the atomic-add case).
+    # pointers (the pre-fused checker missed the atomic-add case).
     if (insn.is_store or insn.is_xadd) and base.region == MemRegion.CTX:
         violations.append(SafetyViolation(
             SafetyViolationKind.CTX_STORE, index,

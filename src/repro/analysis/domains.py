@@ -4,9 +4,8 @@ One :class:`AbsVal` describes a register (or a tracked stack slot) at one
 program point.  It fuses the three per-register abstractions that used to
 live in separate analyses:
 
-* pointer provenance with a concrete region offset
-  (:mod:`repro.bpf.memtypes` — region, offset, map fd, null-ness,
-  initialization),
+* pointer provenance with a concrete region offset (region, offset,
+  map fd, null-ness, initialization),
 * known bits (:class:`~repro.analysis.tnum.Tnum`, the kernel verifier's
   tristate numbers),
 * an unsigned 64-bit interval (:class:`~repro.bpf.valrange.ValueInterval`).

@@ -1,9 +1,8 @@
 """Abstract machine state for the fused analyzer.
 
-The state mirrors :class:`repro.bpf.memtypes.AbstractState` (registers,
-tracked stack slots, initialized stack bytes, verified packet bound) but
-carries :class:`~repro.analysis.domains.AbsVal` product values and is
-*hashable on demand*: :meth:`AnalysisState.signature` produces the tuple the
+The state holds registers, tracked stack slots, initialized stack bytes
+and the verified packet bound as :class:`~repro.analysis.domains.AbsVal`
+product values, and is *hashable on demand*: :meth:`AnalysisState.signature` produces the tuple the
 incremental analyzer uses to key its per-basic-block memo — two states with
 equal signatures produce identical block summaries, which is what makes
 block reuse across MCMC proposals sound.

@@ -1,13 +1,14 @@
 """Instruction transfer and branch refinement over the fused product domain.
 
-This is the single abstract semantics behind both unified checkers: the
-incremental block analyzer (:mod:`repro.analysis.analyzer`, powering
-:class:`repro.safety.SafetyChecker` in ``fused`` mode) and the
-path-sensitive kernel-checker walk (:class:`repro.verifier.KernelChecker`
-in ``fused`` mode).  It subsumes the two older analyses —
-:mod:`repro.bpf.memtypes` (provenance/offset/constant) and
-:mod:`repro.bpf.valrange` (intervals) — and additionally models the parts
-of the interpreter's behaviour those passes missed:
+This is the single abstract semantics of the repo: the incremental block
+analyzer (:mod:`repro.analysis.analyzer`, powering
+:class:`repro.safety.SafetyChecker`) and its per-instruction walk
+(:func:`~repro.analysis.analyzer.states_before`, behind window
+preconditions, window planning and the peephole baseline), and the
+path-sensitive kernel-checker walk (:class:`repro.verifier.KernelChecker`).
+It subsumes the older provenance/offset/constant pass and the intervals of
+:mod:`repro.bpf.valrange`, and additionally models the parts of the
+interpreter's behaviour those passes missed:
 
 * loads of context packet-pointer fields only become pointers when the
   access width matches the field (the interpreter's rewrite rule);
@@ -266,7 +267,7 @@ def refine_branch(state: AnalysisState, insn, taken: bool) -> AnalysisState:
     64-bit comparisons against immediates.  Edges the refinement proves
     impossible are *not* pruned: the state is propagated unrefined instead,
     so reachability — and therefore the set of instructions checked —
-    matches the legacy analyses exactly.
+    stays that of the control-flow graph.
     """
     state = state.copy()
     if not insn.is_conditional_jump:

@@ -60,7 +60,6 @@ class K2Config:
     executor: str = "auto"
     sync_interval: Optional[int] = None
     engine: str = DEFAULT_ENGINE_KIND
-    analysis: str = "fused"
     portfolio: bool = False
     windowed: bool = False
     window_size: int = 24
@@ -123,7 +122,6 @@ class K2Config:
             sync_interval=self.sync_interval,
             equivalence=self.equivalence_options(),
             engine=self.engine,
-            analysis=self.analysis,
             window_mode=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),
@@ -155,7 +153,7 @@ class K2Config:
             settings=int(self.settings), seed=int(self.seed),
             sync_interval=sync_interval,
             num_workers=int(self.num_workers), executor=self.executor,
-            engine=self.engine, analysis=self.analysis,
+            engine=self.engine,
             windowed=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),

@@ -24,9 +24,9 @@ Every rule runs in one of two modes:
 * **naive** (``checker_aware=False``): apply whenever the syntactic pattern
   matches — what a generic rule-based optimizer does, and what produces
   kernel-checker rejections (the phase-ordering problem);
-* **checker-aware** (``checker_aware=True``): consult the pointer-provenance
-  analysis (:func:`repro.bpf.memtypes.analyze_types`) and skip the rewrite
-  when the kernel checker would reject the result.  The skipped application
+* **checker-aware** (``checker_aware=True``): consult the pointer
+  provenance of the fused analysis (:func:`repro.analysis.states_before`)
+  and skip the rewrite when the kernel checker would reject the result.  The skipped application
   is recorded so callers can report the missed optimization.
 """
 
@@ -36,10 +36,10 @@ import abc
 import dataclasses
 from typing import List, Optional, Sequence
 
+from ..analysis import AnalysisState, pointer_info, states_before
 from ..bpf import builders
 from ..bpf.instruction import Instruction, NOP
 from ..bpf.liveness import LivenessInfo, compute_liveness, dead_code_eliminate
-from ..bpf.memtypes import TypeAnalysis, analyze_types
 from ..bpf.opcodes import AluOp, InsnClass, MemSize, SrcOperand
 from ..bpf.program import BpfProgram
 from ..bpf.regions import MemRegion
@@ -59,7 +59,7 @@ class RuleContext:
 
     program: BpfProgram
     instructions: List[Instruction]
-    types: TypeAnalysis
+    states: List[Optional[AnalysisState]]
     liveness: LivenessInfo
     checker_aware: bool
 
@@ -134,7 +134,7 @@ class StoreZeroStrengthReduction(PeepholeRule):
         if not _I32_MIN <= mov.imm <= _I32_MAX:
             return None
 
-        region, _ = ctx.types.pointer_info(index + 1)
+        region, _ = pointer_info(store, ctx.states[index + 1])
         if region == MemRegion.CTX:
             if ctx.checker_aware:
                 return RewriteDecision(
@@ -174,7 +174,7 @@ class CoalesceByteStores(PeepholeRule):
         if second.off != first.off + 1:
             return None
 
-        region, offset = ctx.types.pointer_info(index)
+        region, offset = pointer_info(first, ctx.states[index])
         if region == MemRegion.STACK and offset is not None and offset % 2 != 0:
             if ctx.checker_aware:
                 return RewriteDecision(
@@ -404,7 +404,7 @@ class PeepholeOptimizer:
         ctx = RuleContext(
             program=program,
             instructions=instructions,
-            types=analyze_types(instructions, program.hook),
+            states=states_before(instructions, program.hook),
             liveness=compute_liveness(instructions),
             checker_aware=self.checker_aware)
 
@@ -425,7 +425,7 @@ class PeepholeOptimizer:
                 changed = True
                 # The pass continues with a stale analysis, which is safe
                 # because replacements only touch the matched span; the next
-                # pass recomputes types and liveness from scratch.
+                # pass recomputes states and liveness from scratch.
                 index += decision.span
             else:
                 if not any(b.rule == rule_name and b.index == index

@@ -12,7 +12,6 @@ from .encoder import encode_program, decode_program, EncodingError
 from .asm import assemble, disassemble, format_instruction, AsmError
 from .cfg import BasicBlock, ControlFlowGraph, build_cfg, CfgError
 from .liveness import LivenessInfo, compute_liveness, dead_code_eliminate
-from .memtypes import AbsValue, AbstractState, TypeAnalysis, analyze_types
 from .maps import MapDef, MapEnvironment, MapState, MapType
 from .helpers import (
     HELPERS, HelperId, HelperSpec, helper_spec, helper_num_args,

@@ -16,11 +16,10 @@ This module implements that analysis as an interval domain over unsigned
   edges (``jlt r2, 16`` proves ``r2 ∈ [0, 15]`` on the taken edge),
 * joins at control-flow merge points take the interval hull.
 
-It is deliberately independent from :mod:`repro.bpf.memtypes` (which tracks
-pointer provenance and a single concrete constant): the two analyses answer
-different questions and are consumed by different clients — provenance by the
-safety checker and the equivalence checker's concretizations, ranges by
-window preconditions and context-dependent rewrites.
+It tracks scalars only.  The fused analyzer (:mod:`repro.analysis`) reuses
+its interval domain and branch refinement as the interval component of its
+product domain, next to pointer provenance and known bits; that product is
+what the safety checkers and the window preconditions consume.
 """
 
 from __future__ import annotations
@@ -303,7 +302,7 @@ def analyze_ranges(instructions: Sequence[Instruction],
     """Run the interval analysis over a loop-free program.
 
     Pointer-valued registers simply carry the ⊤ interval; the analysis makes
-    no attempt to distinguish them (that is :mod:`repro.bpf.memtypes`' job).
+    no attempt to distinguish them (that is :mod:`repro.analysis`' job).
     """
     del hook  # the input convention does not affect scalar ranges
     instructions = list(instructions)

@@ -153,7 +153,6 @@ class K2Compiler:
                  verify_stages: Optional[str] = None,
                  equivalence: Optional[EquivalenceOptions] = None,
                  engine: str = DEFAULT_ENGINE_KIND,
-                 analysis: str = "fused",
                  portfolio: bool = False,
                  windowed: bool = False,
                  window_size: int = 24,
@@ -214,13 +213,12 @@ class K2Compiler:
                 sync_interval=sync_interval,
                 equivalence=equivalence,
                 engine=engine,
-                analysis=analysis,
                 window_mode=windowed,
                 window_size=window_size,
                 window_overlap=window_overlap,
                 store_path=store)
         self.options = options
-        self.kernel_checker = KernelChecker(mode=self.options.analysis)
+        self.kernel_checker = KernelChecker()
 
     # ------------------------------------------------------------------ #
     def optimize(self, program: BpfProgram,

@@ -22,11 +22,12 @@ The window verification condition is::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis import AnalysisState, pointer_info, states_before
 from ..bpf import builders
+from ..bpf.instruction import Instruction
 from ..bpf.liveness import compute_liveness
-from ..bpf.memtypes import analyze_types
 from ..bpf.opcodes import STACK_SIZE
 from ..bpf.program import BpfProgram
 from ..bpf.regions import MemRegion
@@ -37,7 +38,8 @@ from .checker import EquivalenceOptions, EquivalenceResult
 from .memory_model import SymbolicInputs
 from .symbolic import ImpreciseEncodingError, SymbolicExecutor
 
-__all__ = ["Window", "WindowEquivalenceChecker", "select_windows"]
+__all__ = ["Window", "WindowEquivalenceChecker", "live_stack_offsets",
+           "select_windows"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,10 +84,12 @@ class _WindowSession:
 
     Window queries against the same source share: the symbolic inputs, the
     input well-formedness constraints (asserted once at the solver's base
-    level), and — per window — the entry-register analysis and the source
-    window's symbolic execution.  Each query's candidate-side constraints
-    and postcondition live in one push/pop scope, so the bit-blasted CNF
-    and the clauses learned from one candidate prune the next.
+    level), the source's abstract state before every instruction (one
+    fused-analysis walk) and — per window — the entry registers and the
+    source window's symbolic execution.  Each query's candidate-side
+    constraints and postcondition live in one push/pop scope, so the
+    bit-blasted CNF and the clauses learned from one candidate prune the
+    next.
     """
 
     def __init__(self, source: BpfProgram, options: EquivalenceOptions):
@@ -93,6 +97,7 @@ class _WindowSession:
         self.solver = Solver(max_conflicts=options.max_conflicts)
         self.inputs = SymbolicInputs(source.hook, source.maps)
         self.liveness = compute_liveness(source.instructions)
+        self.states = states_before(source.instructions, source.hook)
         self._base_asserted = False
         #: (start, end) -> (entry registers, preconditions, source result).
         self.windows: Dict[Tuple[int, int], tuple] = {}
@@ -187,11 +192,11 @@ class WindowEquivalenceChecker:
         body.append(builders.EXIT_INSN())
         return program.with_instructions(body, name=f"{program.name}_window")
 
-    def _entry_registers(self, inputs: SymbolicInputs, program: BpfProgram,
-                         window: Window) -> Tuple[Dict[int, Expr], List[Expr]]:
+    @staticmethod
+    def _entry_registers(inputs: SymbolicInputs,
+                         state: Optional[AnalysisState]
+                         ) -> Tuple[Dict[int, Expr], List[Expr]]:
         """Shared live-in register variables plus precondition constraints."""
-        analysis = analyze_types(program.instructions, program.hook)
-        state = analysis.state_before(window.start)
         registers: Dict[int, Expr] = {}
         preconditions: List[Expr] = []
         for reg in range(10):  # r10 keeps its standard value
@@ -225,7 +230,8 @@ class WindowEquivalenceChecker:
         window_key = (window.start, window.end)
         cached = session.windows.get(window_key)
         if cached is None:
-            entry, preconditions = self._entry_registers(inputs, source, window)
+            entry, preconditions = self._entry_registers(
+                inputs, session.states[window.start])
             source_window = self._window_program(source, window)
             result1 = SymbolicExecutor(inputs, "p1").execute(
                 source_window, entry_registers=dict(entry))
@@ -250,7 +256,8 @@ class WindowEquivalenceChecker:
         if window_key in session.live_stack:
             live_stack = session.live_stack[window_key]
         else:
-            live_stack = self._live_stack_offsets(source, window)
+            live_stack = live_stack_offsets(source.instructions,
+                                            session.states, window.end)
             session.live_stack[window_key] = live_stack
         for region in (MemRegion.STACK, MemRegion.PACKET, MemRegion.MAP_VALUE):
             mem1 = result1.memories.get(region)
@@ -321,56 +328,56 @@ class WindowEquivalenceChecker:
         memory = RegionMemory(region, inputs, "untouched")
         return memory.final_byte(offset)
 
-    @staticmethod
-    def _live_stack_offsets(source: BpfProgram,
-                            window: Window) -> Optional[set]:
-        """Stack byte offsets that may be read after the window (may-live).
 
-        This is a conservative liveness analysis with kill tracking: a byte
-        overwritten on the straight-line path following the window (before
-        any control-flow divergence) is dead at the window boundary even if
-        it is read later.  Returns ``None`` when a post-window stack read
-        cannot be bounded to a concrete offset, in which case every stack
-        byte must be compared.
-        """
-        instructions = source.instructions
-        analysis = analyze_types(instructions, source.hook)
-        jump_targets = set()
-        for index, insn in enumerate(instructions):
-            if insn.is_jump and not insn.is_call and not insn.is_exit \
-                    and not insn.is_nop:
-                jump_targets.add(index + 1 + insn.off)
+def live_stack_offsets(instructions: Sequence[Instruction],
+                       states: Sequence[Optional[AnalysisState]],
+                       end: int) -> Optional[set]:
+    """Stack byte offsets that may be read at or after ``end`` (may-live).
 
-        live: set = set()
-        killed: set = set()
-        tracking_kills = True
-        for index in range(window.end, len(instructions)):
-            insn = instructions[index]
-            if index in jump_targets or (insn.is_branch and not insn.is_nop):
-                # Control flow may diverge or merge here: stop treating later
-                # stores as kills (they may not execute on every path).
-                tracking_kills = False
-            if insn.is_call:
-                # Helper calls read memory through pointer arguments (e.g.
-                # map keys built on the stack): every byte not already
-                # overwritten may be observed.
-                live.update(set(range(STACK_SIZE)) - killed)
+    ``states`` are the program's per-instruction abstract states
+    (:func:`repro.analysis.states_before`).  This is a conservative
+    liveness analysis with kill tracking: a byte overwritten on the
+    straight-line path starting at ``end`` (before any control-flow
+    divergence) is dead there even if it is read later.  Returns ``None``
+    when a later stack read cannot be bounded to a concrete offset, in
+    which case every stack byte must be compared.
+    """
+    jump_targets = set()
+    for index, insn in enumerate(instructions):
+        if insn.is_jump and not insn.is_call and not insn.is_exit \
+                and not insn.is_nop:
+            jump_targets.add(index + 1 + insn.off)
+
+    live: set = set()
+    killed: set = set()
+    tracking_kills = True
+    for index in range(end, len(instructions)):
+        insn = instructions[index]
+        if index in jump_targets or (insn.is_branch and not insn.is_nop):
+            # Control flow may diverge or merge here: stop treating later
+            # stores as kills (they may not execute on every path).
+            tracking_kills = False
+        if insn.is_call:
+            # Helper calls read memory through pointer arguments (e.g.
+            # map keys built on the stack): every byte not already
+            # overwritten may be observed.
+            live.update(set(range(STACK_SIZE)) - killed)
+            continue
+        if insn.is_store or insn.is_xadd:
+            region, offset = pointer_info(insn, states[index])
+            if region == MemRegion.STACK and offset is not None:
+                span = range(offset, offset + insn.access_bytes)
+                if insn.is_xadd:
+                    live.update(set(span) - killed)  # xadd also reads
+                elif tracking_kills:
+                    killed.update(span)
+            continue
+        if insn.is_load:
+            region, offset = pointer_info(insn, states[index])
+            if region != MemRegion.STACK:
                 continue
-            if insn.is_store or insn.is_xadd:
-                region, offset = analysis.pointer_info(index)
-                if region == MemRegion.STACK and offset is not None:
-                    span = range(offset, offset + insn.access_bytes)
-                    if insn.is_xadd:
-                        live.update(set(span) - killed)  # xadd also reads
-                    elif tracking_kills:
-                        killed.update(span)
-                continue
-            if insn.is_load:
-                region, offset = analysis.pointer_info(index)
-                if region != MemRegion.STACK:
-                    continue
-                if offset is None:
-                    return None
-                live.update(set(range(offset, offset + insn.access_bytes))
-                            - killed)
-        return live
+            if offset is None:
+                return None
+            live.update(set(range(offset, offset + insn.access_bytes))
+                        - killed)
+    return live

@@ -25,9 +25,10 @@ search.  The properties enforced here mirror §6 of the paper:
     context pointers, r1–r5 unreadable after a helper call, no pointer may
     escape through r0 at program exit.
 
-The checks are implemented with the same static analyses that power the
-equivalence checker's concretizations (CFG + pointer provenance abstract
-interpretation); when a violation depends on the program input (e.g. a packet
+The checks run on the fused abstract interpreter of :mod:`repro.analysis`
+(provenance × known bits × intervals over the CFG) — the same analysis whose
+per-instruction states give the equivalence checker its window
+preconditions; when a violation depends on the program input (e.g. a packet
 access without a preceding bounds check), the checker also produces a small
 *safety counterexample* input that makes the interpreter fault, which the
 synthesizer adds to its test suite exactly as in Fig. 1 of the paper.
@@ -37,18 +38,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..analysis import AbstractAnalyzer, resolve_analysis_kind
+from ..analysis import AbstractAnalyzer
 from ..analysis.verdicts import (
     SafetyResult, SafetyViolation, SafetyViolationKind,
 )
-from ..bpf.cfg import CfgError, build_cfg
-from ..bpf.helpers import HELPERS
 from ..bpf.hooks import HookType
-from ..bpf.instruction import Instruction
-from ..bpf.memtypes import AbsValue, analyze_types
-from ..bpf.opcodes import AluOp, STACK_SIZE
 from ..bpf.program import BpfProgram
-from ..bpf.regions import MemRegion
 from ..interpreter import ProgramInput
 
 __all__ = ["SafetyViolationKind", "SafetyViolation", "SafetyResult",
@@ -58,261 +53,28 @@ __all__ = ["SafetyViolationKind", "SafetyViolation", "SafetyResult",
 class SafetyChecker:
     """Static safety analysis of BPF programs, as used inside the search loop.
 
-    Two interchangeable implementations sit behind this API (the
-    ``--analysis`` ablation):
-
-    * ``fused`` (default) — the unified incremental abstract interpreter
-      (:class:`repro.analysis.AbstractAnalyzer`): one product domain
-      (provenance × tnum × interval), per-basic-block memoization across
-      the proposals of a synthesis run, plus checks for the interpreter
-      faults the legacy pass missed (helper arguments, atomic adds through
-      ctx, stale packet pointers after ``bpf_xdp_adjust_*``).
-    * ``legacy`` — the original two-pass analysis over
-      :mod:`repro.bpf.memtypes`, kept as the ablation baseline.
-
-    Pass a shared ``analyzer`` to let several consumers (the search loop's
-    checker and the verification pipeline's pre-stage) hit one memo.
+    Runs the unified incremental abstract interpreter
+    (:class:`repro.analysis.AbstractAnalyzer`): one product domain
+    (provenance × tnum × interval) with per-basic-block memoization across
+    the proposals of a synthesis run.  Pass a shared ``analyzer`` to let
+    several consumers (the search loop's checker and the verification
+    pipeline's pre-stage) hit one memo.
     """
 
     def __init__(self, strict_alignment: bool = True,
-                 mode: Optional[str] = None,
                  analyzer: Optional[AbstractAnalyzer] = None):
-        self.strict_alignment = strict_alignment
-        self.mode = resolve_analysis_kind(mode)
-        if analyzer is not None:
-            self.analyzer = analyzer
-        elif self.mode == "fused":
-            self.analyzer = AbstractAnalyzer(strict_alignment=strict_alignment)
-        else:
-            self.analyzer = None
+        self.analyzer = analyzer if analyzer is not None \
+            else AbstractAnalyzer(strict_alignment=strict_alignment)
         self.num_checks = 0
 
     # ------------------------------------------------------------------ #
     def check(self, program: BpfProgram) -> SafetyResult:
         """Check every §6 property; returns all violations found."""
         self.num_checks += 1
-        if self.mode == "fused":
-            outcome = self.analyzer.analyze(program)
-            return SafetyResult(list(outcome.violations),
-                                self._counterexamples(program)
-                                if outcome.violations else [])
-        return self._check_legacy(program)
-
-    # ------------------------------------------------------------------ #
-    def _check_legacy(self, program: BpfProgram) -> SafetyResult:
-        violations: List[SafetyViolation] = []
-
-        structural = self._check_structure(program)
-        violations.extend(structural)
-        if any(v.kind in (SafetyViolationKind.MALFORMED, SafetyViolationKind.BAD_JUMP)
-               for v in structural):
-            return SafetyResult(violations, self._counterexamples(program))
-
-        violations.extend(self._check_control_flow(program))
-        if any(v.kind == SafetyViolationKind.LOOP for v in violations):
-            return SafetyResult(violations, self._counterexamples(program))
-
-        violations.extend(self._check_instructions(program))
-        return SafetyResult(violations, self._counterexamples(program)
-                            if violations else [])
-
-    # ------------------------------------------------------------------ #
-    # Structural and control-flow checks
-    # ------------------------------------------------------------------ #
-    def _check_structure(self, program: BpfProgram) -> List[SafetyViolation]:
-        violations = []
-        if not program.instructions:
-            return [SafetyViolation(SafetyViolationKind.MALFORMED, None,
-                                    "empty program")]
-        if not any(insn.is_exit for insn in program.instructions):
-            violations.append(SafetyViolation(
-                SafetyViolationKind.MALFORMED, None, "no exit instruction"))
-        for index, insn in enumerate(program.instructions):
-            if insn.is_jump and not insn.is_call and not insn.is_exit:
-                target = index + 1 + insn.off
-                if not 0 <= target < len(program.instructions):
-                    violations.append(SafetyViolation(
-                        SafetyViolationKind.BAD_JUMP, index,
-                        f"jump target {target} outside the program"))
-            if insn.is_call and insn.imm not in HELPERS:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.HELPER_MISUSE, index,
-                    f"unknown helper id {insn.imm}"))
-            if insn.dst == 10 and insn.regs_written() and 10 in insn.regs_written():
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.READ_ONLY_REGISTER, index,
-                    "write to the read-only frame pointer r10"))
-        return violations
-
-    def _check_control_flow(self, program: BpfProgram) -> List[SafetyViolation]:
-        violations = []
-        try:
-            cfg = build_cfg(program.instructions)
-        except CfgError as exc:
-            return [SafetyViolation(SafetyViolationKind.BAD_JUMP, None, str(exc))]
-        if not cfg.is_loop_free():
-            violations.append(SafetyViolation(
-                SafetyViolationKind.LOOP, None,
-                "control-flow graph contains a back edge (loop)"))
-        for block_index in cfg.unreachable_blocks():
-            block = cfg.blocks[block_index]
-            # Blocks made entirely of NOP padding are tolerated: the search
-            # introduces them deliberately and they never execute.
-            if all(program.instructions[i].is_nop
-                   for i in block.instruction_indices):
-                continue
-            violations.append(SafetyViolation(
-                SafetyViolationKind.UNREACHABLE_CODE, block.start,
-                f"basic block {block_index} is unreachable"))
-        return violations
-
-    # ------------------------------------------------------------------ #
-    # Per-instruction checks driven by the pointer/provenance analysis
-    # ------------------------------------------------------------------ #
-    def _check_instructions(self, program: BpfProgram) -> List[SafetyViolation]:
-        violations: List[SafetyViolation] = []
-        analysis = analyze_types(program.instructions, program.hook)
-
-        for index, insn in enumerate(program.instructions):
-            state = analysis.state_before(index)
-            if state is None:  # unreachable (already reported)
-                continue
-            if insn.is_nop:
-                continue
-
-            for reg in insn.regs_read():
-                value = state.regs[reg]
-                if not value.initialized:
-                    violations.append(SafetyViolation(
-                        SafetyViolationKind.UNINITIALIZED_READ, index,
-                        f"r{reg} is read before being written"))
-
-            if insn.is_alu:
-                violations.extend(self._check_pointer_alu(insn, state, index))
-            if insn.is_memory:
-                violations.extend(self._check_memory_access(
-                    program, insn, state, index))
-            if insn.is_exit:
-                value = state.regs[0]
-                if value.is_pointer:
-                    violations.append(SafetyViolation(
-                        SafetyViolationKind.POINTER_LEAK, index,
-                        "r0 holds a kernel pointer at program exit"))
-                elif (program.hook.return_range is not None
-                      and value.const is not None):
-                    low, high = program.hook.return_range
-                    if not low <= value.const <= high:
-                        violations.append(SafetyViolation(
-                            SafetyViolationKind.BAD_RETURN_VALUE, index,
-                            f"return value {value.const} outside "
-                            f"[{low}, {high}] for hook {program.hook.name}"))
-        return violations
-
-    def _check_pointer_alu(self, insn: Instruction, state, index: int
-                           ) -> List[SafetyViolation]:
-        """Kernel-checker constraint: most ALU ops are disallowed on pointers."""
-        violations = []
-        dst_val: AbsValue = state.regs[insn.dst]
-        op = insn.alu_op
-        if not dst_val.is_pointer:
-            return violations
-        if op in (AluOp.MOV, AluOp.END):
-            return violations
-        if insn.is_alu64 and op in (AluOp.ADD, AluOp.SUB):
-            return violations
-        violations.append(SafetyViolation(
-            SafetyViolationKind.POINTER_ARITHMETIC, index,
-            f"ALU operation {op.name} on a pointer into "
-            f"{dst_val.region.value} memory"))
-        return violations
-
-    def _check_memory_access(self, program: BpfProgram, insn: Instruction,
-                             state, index: int) -> List[SafetyViolation]:
-        violations = []
-        base_reg = insn.src if insn.is_load else insn.dst
-        base: AbsValue = state.regs[base_reg]
-        width = insn.access_bytes
-
-        if base.region in (MemRegion.SCALAR, MemRegion.UNKNOWN):
-            violations.append(SafetyViolation(
-                SafetyViolationKind.UNKNOWN_POINTER, index,
-                f"memory access through r{base_reg}, which does not hold a "
-                f"pointer with known provenance"))
-            return violations
-        if base.maybe_null:
-            violations.append(SafetyViolation(
-                SafetyViolationKind.NULL_DEREFERENCE, index,
-                f"r{base_reg} may be NULL (unchecked bpf_map_lookup_elem result)"))
-        if base.region == MemRegion.MAP_PTR:
-            violations.append(SafetyViolation(
-                SafetyViolationKind.UNKNOWN_POINTER, index,
-                "direct memory access through a map reference"))
-            return violations
-        if base.region == MemRegion.PACKET_END:
-            violations.append(SafetyViolation(
-                SafetyViolationKind.OUT_OF_BOUNDS, index,
-                "memory access through the data_end sentinel pointer"))
-            return violations
-
-        if insn.is_store and base.region == MemRegion.CTX:
-            violations.append(SafetyViolation(
-                SafetyViolationKind.CTX_STORE, index,
-                "store through a context (PTR_TO_CTX) pointer"))
-            return violations
-
-        if base.offset is None:
-            violations.append(SafetyViolation(
-                SafetyViolationKind.OUT_OF_BOUNDS, index,
-                f"cannot bound the offset of the access through r{base_reg}"))
-            return violations
-        offset = base.offset + insn.off
-
-        if base.region == MemRegion.STACK:
-            if not 0 <= offset <= STACK_SIZE - width:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.OUT_OF_BOUNDS, index,
-                    f"stack access at r10{offset - STACK_SIZE:+d} "
-                    f"width {width} is out of bounds"))
-            elif self.strict_alignment and offset % width != 0:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.MISALIGNED_ACCESS, index,
-                    f"stack access at r10{offset - STACK_SIZE:+d} is not "
-                    f"{width}-byte aligned"))
-            elif insn.is_load:
-                missing = [b for b in range(offset, offset + width)
-                           if b not in state.stack_written]
-                if missing:
-                    violations.append(SafetyViolation(
-                        SafetyViolationKind.UNINITIALIZED_READ, index,
-                        f"stack bytes at r10{offset - STACK_SIZE:+d} are read "
-                        f"before being written"))
-        elif base.region == MemRegion.CTX:
-            if not 0 <= offset <= program.hook.ctx_size - width:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.OUT_OF_BOUNDS, index,
-                    f"ctx access at offset {offset} width {width} is out of "
-                    f"bounds for {program.hook.name}"))
-        elif base.region == MemRegion.PACKET:
-            bound = state.packet_bound
-            if offset < 0 or offset + width > bound:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.OUT_OF_BOUNDS, index,
-                    f"packet access at offset {offset} width {width} exceeds "
-                    f"the verified packet bound of {bound} bytes"))
-        elif base.region == MemRegion.MAP_VALUE:
-            value_size = None
-            if base.map_fd is not None and base.map_fd in program.maps:
-                value_size = program.maps.definition(base.map_fd).value_size
-            if value_size is None:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.UNKNOWN_POINTER, index,
-                    "cannot determine which map this value pointer refers to"))
-            elif not 0 <= offset <= value_size - width:
-                violations.append(SafetyViolation(
-                    SafetyViolationKind.OUT_OF_BOUNDS, index,
-                    f"map value access at offset {offset} width {width} exceeds "
-                    f"the value size of {value_size} bytes"))
-        return violations
+        outcome = self.analyzer.analyze(program)
+        return SafetyResult(list(outcome.violations),
+                            self._counterexamples(program)
+                            if outcome.violations else [])
 
     # ------------------------------------------------------------------ #
     # Safety counterexamples (used to prune unsafe candidates cheaply)

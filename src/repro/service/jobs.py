@@ -58,7 +58,6 @@ class JobSpec:
     num_workers: int = 1
     executor: str = "auto"
     engine: str = DEFAULT_ENGINE_KIND
-    analysis: str = "fused"
     windowed: bool = False
     window_size: int = 24
     window_overlap: int = 8
@@ -133,7 +132,6 @@ class JobSpec:
             num_workers=int(self.num_workers),
             executor=self.executor,
             engine=self.engine,
-            analysis=self.analysis,
             window_mode=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),

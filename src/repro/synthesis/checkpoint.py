@@ -265,7 +265,6 @@ def options_signature(source, settings, options, proposal_region,
         bool(options.share_cache),
         bool(options.share_counterexamples),
         str(getattr(options, "engine", None)),
-        str(getattr(options, "analysis", None)),
         bool(getattr(options, "store_preseed_counterexamples", False)),
         int(getattr(options, "chain_index_offset", 0)),
         None if proposal_region is None else list(proposal_region),

@@ -17,7 +17,7 @@ import random
 import time
 from typing import Dict, List, Optional
 
-from ..analysis import AbstractAnalyzer, resolve_analysis_kind
+from ..analysis import AbstractAnalyzer
 from ..bpf.program import BpfProgram
 from ..engine import create_engine
 from ..equivalence import EquivalenceCache, EquivalenceOptions, EquivalenceResult
@@ -113,7 +113,6 @@ class MarkovChain:
                  lazy_safety: bool = True,
                  pipeline: Optional[VerificationPipeline] = None,
                  engine=None,
-                 analysis: Optional[str] = None,
                  proposal_region: Optional[tuple] = None,
                  keep_nops: bool = False):
         source.validate()
@@ -139,11 +138,9 @@ class MarkovChain:
         # One fused abstract analyzer per chain, shared by the safety
         # checker and the pipeline's static-safety pre-stage so both hit
         # one per-block/program memo (the static-analysis analogue of the
-        # shared decode cache above).  ``--analysis legacy`` selects the
-        # original two-pass implementation and drops the pre-stage.
-        self.analysis = resolve_analysis_kind(analysis)
-        analyzer = AbstractAnalyzer() if self.analysis == "fused" else None
-        self.safety = SafetyChecker(mode=self.analysis, analyzer=analyzer)
+        # shared decode cache above).
+        analyzer = AbstractAnalyzer()
+        self.safety = SafetyChecker(analyzer=analyzer)
         # The verification pipeline owns the equivalence options and the
         # cache; the ``equivalence_options``/``cache`` kwargs are kept for
         # backwards compatibility and feed the pipeline it builds.

@@ -614,7 +614,6 @@ class ChainController:
             equivalence_options=options.equivalence,
             cache=cache,
             engine=engine,
-            analysis=getattr(options, "analysis", None),
             proposal_region=self.proposal_region,
             keep_nops=self.keep_nops)
 

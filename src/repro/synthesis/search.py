@@ -69,12 +69,6 @@ class SearchOptions:
     #: ``--engine``.  All three produce bit-identical search results; only
     #: throughput differs.
     engine: str = DEFAULT_ENGINE_KIND
-    #: Static safety analysis implementation: ``fused`` (the unified
-    #: incremental abstract interpreter of :mod:`repro.analysis`, shared by
-    #: the safety checker, the pipeline pre-stage and the kernel-checker
-    #: filter) or ``legacy`` (the original two-pass analysis) — the
-    #: ablation knob behind the CLI's ``--analysis``.
-    analysis: str = "fused"
     #: Windowed segment synthesis (the CLI's ``--windowed``): slice the
     #: source into overlapping windows (:mod:`repro.synthesis.windows`), run
     #: the chains per window with window-local proposals, stitch the best
@@ -252,7 +246,7 @@ def assemble_search_result(source: BpfProgram,
     rejected = 0
     if options.kernel_checker_filter:
         if kernel_checker is None:
-            kernel_checker = KernelChecker(mode=options.analysis)
+            kernel_checker = KernelChecker()
         accepted = []
         for candidate in candidates:
             if kernel_checker.load(candidate.program).accepted:
@@ -288,7 +282,7 @@ class Synthesizer:
 
     def __init__(self, options: Optional[SearchOptions] = None):
         self.options = options or SearchOptions()
-        self.kernel_checker = KernelChecker(mode=self.options.analysis)
+        self.kernel_checker = KernelChecker()
 
     # ------------------------------------------------------------------ #
     def optimize(self, source: BpfProgram,

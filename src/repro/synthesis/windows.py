@@ -9,7 +9,8 @@ costs with windows (paper §5 IV); this module applies the same idea to the
 
 1. **Plan** — slice the source into overlapping candidate windows
    (:func:`plan_windows`) using the CFG and liveness passes of
-   :mod:`repro.bpf.cfg` / :mod:`repro.bpf.liveness`.  Each
+   :mod:`repro.bpf.cfg` / :mod:`repro.bpf.liveness` and one walk of the
+   fused analysis (:func:`repro.analysis.states_before`).  Each
    :class:`SegmentWindow` carries its computed interface: live-in/live-out
    registers, the live stack bytes observable after the window, the basic
    blocks it spans and whether it contains helper calls.
@@ -38,13 +39,14 @@ import dataclasses
 import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..analysis import AbstractAnalyzer, resolve_analysis_kind
+from ..analysis import AbstractAnalyzer, states_before
 from ..bpf.cfg import build_cfg
 from ..bpf.liveness import compute_liveness
 from ..bpf.program import BpfProgram
 from ..bpf.transforms import remove_nops
 from ..engine import create_engine
-from ..equivalence import EquivalenceCache, Window, WindowEquivalenceChecker
+from ..equivalence import EquivalenceCache
+from ..equivalence.window import live_stack_offsets
 from ..perf.latency_model import DEFAULT_LATENCY_MODEL
 from ..store import VerdictStore
 from ..verification import PipelineStats, VerificationPipeline
@@ -134,6 +136,7 @@ def plan_windows(program: BpfProgram, window_size: int = 24,
         return []
     cfg = build_cfg(instructions)
     liveness = compute_liveness(instructions, cfg)
+    states = states_before(instructions, program.hook)
     stride = window_size - overlap
 
     windows: List[SegmentWindow] = []
@@ -141,8 +144,7 @@ def plan_windows(program: BpfProgram, window_size: int = 24,
     while start < n:
         end = min(start + window_size, n)
         block_indices = sorted({cfg.block_of_insn[i] for i in range(start, end)})
-        live_stack = WindowEquivalenceChecker._live_stack_offsets(
-            program, Window(start, end))
+        live_stack = live_stack_offsets(instructions, states, end)
         windows.append(SegmentWindow(
             start=start,
             end=end,
@@ -196,7 +198,7 @@ class WindowedScheduler:
             settings = all_parameter_settings(options.goal)[
                 :options.num_parameter_settings]
         if self.kernel_checker is None:
-            self.kernel_checker = KernelChecker(mode=options.analysis)
+            self.kernel_checker = KernelChecker()
 
         plan = plan_windows(source, options.window_size,
                             options.window_overlap)
@@ -364,11 +366,9 @@ class WindowedScheduler:
         if stitched.same_instructions(source):
             return None, None, 0
 
-        analyzer = AbstractAnalyzer() \
-            if resolve_analysis_kind(options.analysis) == "fused" else None
         pipeline = VerificationPipeline(options=options.equivalence,
                                         engine=create_engine(options.engine),
-                                        analyzer=analyzer)
+                                        analyzer=AbstractAnalyzer())
         outcome = pipeline.verify(source, stitched)
         PipelineStats.merge_dicts(verification, pipeline.stats.as_dict())
         if not outcome.result.equivalent:

@@ -180,8 +180,7 @@ class VerificationPipeline:
         self.options = options or EquivalenceOptions()
         self.cache = cache if cache is not None else EquivalenceCache()
         #: Fused abstract analyzer backing the static-safety pre-stage; when
-        #: None (e.g. the ``--analysis legacy`` ablation) the stage is
-        #: omitted entirely.  The search loop passes the analyzer instance
+        #: None the stage is omitted entirely.  The search loop passes the analyzer instance
         #: shared with its :class:`~repro.safety.SafetyChecker`, so stage
         #: verdicts are program-memo hits.
         self.analyzer = analyzer

@@ -4,10 +4,10 @@ Two golden files live next to this module:
 
 * ``golden_verdicts.json`` pins the analyzer verdict (safe/unsafe +
   violation kinds) for every :mod:`repro.corpus` benchmark and for a set
-  of hand-written unsafe variants, one per violation class.  Both
-  analysis implementations (``fused`` and ``legacy``) must reproduce the
-  pinned verdicts exactly, so verdict drift — a transfer-function change
-  that silently accepts more or fewer programs — fails loudly.
+  of hand-written unsafe variants, one per violation class.  The safety
+  checker and the kernel checker must reproduce the pinned verdicts
+  exactly, so verdict drift — a transfer-function change that silently
+  accepts more or fewer programs — fails loudly.
 * ``golden_trajectories.json`` pins search trajectories and SAT-core
   answers (see ``test_golden_trajectories.py``); its searches are compared
   through :func:`search_signature`, the one search-identity signature every

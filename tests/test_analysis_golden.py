@@ -3,9 +3,9 @@
 ``tests/golden_verdicts.json`` pins, for every corpus benchmark and every
 hand-written variant in :mod:`golden_helpers`, the expected verdict:
 ``safe`` flag, the set of violation kinds, and the kernel-checker accept
-bit.  Both analysis implementations must reproduce the pinned verdicts —
-if a transfer-function change shifts any verdict, this suite fails loudly
-and the golden file must be regenerated *deliberately*.
+bit.  The safety checker and the kernel checker must reproduce the pinned
+verdicts — if a transfer-function change shifts any verdict, this suite
+fails loudly and the golden file must be regenerated *deliberately*.
 
 Regenerate after an intentional semantic change with::
 
@@ -21,12 +21,14 @@ from repro.corpus import all_benchmarks
 from repro.safety import SafetyChecker
 from repro.verifier import KernelChecker
 
-MODES = ("fused", "legacy")
+#: The analysis implementation the pinned verdicts belong to; the fused
+#: analyzer is the only one, and the ``[fused]`` test ids stay stable.
+MODES = ("fused",)
 
 
-def observed_verdict(program, mode):
-    result = SafetyChecker(mode=mode).check(program)
-    kernel = KernelChecker(mode=mode).load(program)
+def observed_verdict(program):
+    result = SafetyChecker().check(program)
+    kernel = KernelChecker().load(program)
     return {"safe": result.safe,
             "kinds": sorted({v.kind.value for v in result.violations}),
             "kernel_accepted": bool(kernel.accepted)}
@@ -43,7 +45,7 @@ def test_corpus_verdicts_match_golden(golden, mode):
     drift = {}
     for bench in all_benchmarks():
         expected = golden["corpus"][bench.name]
-        got = observed_verdict(bench.program(), mode)
+        got = observed_verdict(bench.program())
         if got != expected:
             drift[bench.name] = (expected, got)
     assert not drift, f"verdict drift ({mode}): {drift}"
@@ -54,7 +56,7 @@ def test_variant_verdicts_match_golden(golden, mode):
     drift = {}
     for name, program in unsafe_variants().items():
         expected = golden["variants"][name]
-        got = observed_verdict(program, mode)
+        got = observed_verdict(program)
         if got != expected:
             drift[name] = (expected, got)
     assert not drift, f"verdict drift ({mode}): {drift}"
@@ -63,17 +65,6 @@ def test_variant_verdicts_match_golden(golden, mode):
 def test_golden_covers_every_benchmark(golden):
     assert set(golden["corpus"]) == {b.name for b in all_benchmarks()}
     assert set(golden["variants"]) == set(unsafe_variants())
-
-
-def test_fused_is_verdict_identical_to_legacy():
-    """The acceptance criterion, asserted directly (not via the pin)."""
-    for bench in all_benchmarks():
-        program = bench.program()
-        assert observed_verdict(program, "fused") == \
-            observed_verdict(program, "legacy"), bench.name
-    for name, program in unsafe_variants().items():
-        assert observed_verdict(program, "fused") == \
-            observed_verdict(program, "legacy"), name
 
 
 def test_variants_exercise_both_verdicts(golden):
@@ -85,14 +76,9 @@ def test_variants_exercise_both_verdicts(golden):
 def _regenerate():  # pragma: no cover - maintenance entry point
     golden = {"corpus": {}, "variants": {}}
     for bench in all_benchmarks():
-        program = bench.program()
-        fused = observed_verdict(program, "fused")
-        assert fused == observed_verdict(program, "legacy"), bench.name
-        golden["corpus"][bench.name] = fused
+        golden["corpus"][bench.name] = observed_verdict(bench.program())
     for name, program in unsafe_variants().items():
-        fused = observed_verdict(program, "fused")
-        assert fused == observed_verdict(program, "legacy"), name
-        golden["variants"][name] = fused
+        golden["variants"][name] = observed_verdict(program)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)
     print(f"regenerated {GOLDEN_PATH}")

@@ -1,12 +1,13 @@
-"""Tests for CFG construction, liveness analysis and dead-code elimination."""
+"""Tests for CFG construction, liveness analysis, dead-code elimination and
+the per-instruction abstract states of the fused analysis."""
 
 import pytest
 
+from repro.analysis import states_before
 from repro.bpf import (
     CfgError, HookType, assemble, build_cfg, compute_liveness,
     dead_code_eliminate, get_hook,
 )
-from repro.bpf.memtypes import analyze_types
 from repro.bpf.regions import MemRegion
 
 
@@ -137,17 +138,16 @@ class TestLiveness:
 class TestTypeAnalysis:
     def test_packet_pointer_tracked_from_ctx(self):
         insns = assemble(BRANCHY)
-        hook = get_hook(HookType.XDP)
-        analysis = analyze_types(insns, hook)
-        value = analysis.register_at(6, 2)
+        states = states_before(insns, get_hook(HookType.XDP))
+        value = states[6].regs[2]
         assert value.region == MemRegion.PACKET
         assert value.offset == 0
 
     def test_packet_bound_established_by_check(self):
         insns = assemble(BRANCHY)
-        analysis = analyze_types(insns, get_hook(HookType.XDP))
-        assert analysis.state_before(6).packet_bound == 14
-        assert analysis.state_before(0).packet_bound == 0
+        states = states_before(insns, get_hook(HookType.XDP))
+        assert states[6].packet_bound == 14
+        assert states[0].packet_bound == 0
 
     def test_stack_pointer_offsets(self):
         insns = assemble("""
@@ -157,8 +157,8 @@ class TestTypeAnalysis:
         mov64 r0, 0
         exit
         """)
-        analysis = analyze_types(insns, get_hook(HookType.XDP))
-        value = analysis.register_at(2, 2)
+        states = states_before(insns, get_hook(HookType.XDP))
+        value = states[2].regs[2]
         assert value.region == MemRegion.STACK
         assert value.offset == 512 - 8
 
@@ -170,8 +170,8 @@ class TestTypeAnalysis:
         mov64 r0, r3
         exit
         """)
-        analysis = analyze_types(insns, get_hook(HookType.XDP))
-        assert analysis.register_at(3, 3).const == 20
+        states = states_before(insns, get_hook(HookType.XDP))
+        assert states[3].regs[3].const == 20
 
     def test_map_pointer_and_lookup_result(self):
         insns = assemble("""
@@ -185,12 +185,12 @@ class TestTypeAnalysis:
         mov64 r0, 0
         exit
         """)
-        analysis = analyze_types(insns, get_hook(HookType.XDP))
-        map_ptr = analysis.register_at(4, 1)
+        states = states_before(insns, get_hook(HookType.XDP))
+        map_ptr = states[4].regs[1]
         assert map_ptr.region == MemRegion.MAP_PTR and map_ptr.map_fd == 7
-        lookup = analysis.register_at(5, 0)
+        lookup = states[5].regs[0]
         assert lookup.region == MemRegion.MAP_VALUE and lookup.maybe_null
-        checked = analysis.register_at(6, 0)
+        checked = states[6].regs[0]
         assert checked.region == MemRegion.MAP_VALUE and not checked.maybe_null
 
     def test_merge_at_join_loses_conflicting_constants(self):
@@ -202,7 +202,7 @@ class TestTypeAnalysis:
         mov64 r0, r2
         exit
         """)
-        analysis = analyze_types(insns, get_hook(HookType.XDP))
-        merged = analysis.register_at(4, 2)
+        states = states_before(insns, get_hook(HookType.XDP))
+        merged = states[4].regs[2]
         assert merged.region == MemRegion.SCALAR
         assert merged.const is None

@@ -12,12 +12,17 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bpf import BpfProgram, HookType, get_hook, builders as b
+from repro.bpf import BpfProgram, HookType, assemble, get_hook, builders as b
 from repro.bpf.maps import MapEnvironment
 from repro.bpf.opcodes import AluOp, MemSize
-from repro.equivalence import SymbolicExecutor, SymbolicInputs
+from repro.equivalence import (
+    EquivalenceChecker, SymbolicExecutor, SymbolicInputs, Window,
+    WindowEquivalenceChecker,
+)
 from repro.interpreter import Interpreter, ProgramInput
+from repro.safety import SafetyChecker
 from repro.smt import evaluate
+from repro.verification import VerificationPipeline
 
 _ALU_OPS = [AluOp.ADD, AluOp.SUB, AluOp.MUL, AluOp.OR, AluOp.AND, AluOp.XOR,
             AluOp.LSH, AluOp.RSH, AluOp.ARSH, AluOp.DIV, AluOp.MOD]
@@ -117,3 +122,47 @@ def test_jump_semantics_match_on_signed_boundaries():
             b.EXIT_INSN(),
         ]
         _check_program(instructions)
+
+
+STALE_SLOT_SOURCE = """
+    stdw [r10-8], 5
+    ldxw r3, [r1+12]
+    stxw [r10-4], r3
+    ldxdw r2, [r10-8]
+    mov64 r0, r2
+    rsh64 r0, 32
+    and64 r0, 3
+    exit
+"""
+
+
+def test_window_precondition_drops_partially_overwritten_stack_slot():
+    """A narrower store into a tracked 8-byte slot makes its constant stale.
+
+    ``stxw [r10-4]`` overwrites the upper half of the slot ``stdw [r10-8], 5``
+    wrote, so ``r2`` is not 5 at the window ``[4, 5)``.  Binding it to 5 as
+    a window precondition would "prove" ``mov64 r0, 5`` equivalent to
+    ``mov64 r0, r2``, yet the two programs return 1 and 0 when
+    ``ingress_ifindex`` is 1.
+    """
+    hook = get_hook(HookType.XDP)
+    source = BpfProgram(instructions=assemble(STALE_SLOT_SOURCE), hook=hook,
+                        name="src")
+    candidate = BpfProgram(
+        instructions=assemble(STALE_SLOT_SOURCE.replace("mov64 r0, r2",
+                                                        "mov64 r0, 5")),
+        hook=hook, name="cand")
+    assert SafetyChecker().check(source).safe
+    assert SafetyChecker().check(candidate).safe
+
+    test = ProgramInput(packet=bytes(64), ctx={"ingress_ifindex": 1})
+    interpreter = Interpreter()
+    assert interpreter.run(source, test).return_value == 1
+    assert interpreter.run(candidate, test).return_value == 0
+    assert EquivalenceChecker().check(source, candidate).counterexample \
+        is not None
+
+    window = WindowEquivalenceChecker().check(source, candidate, Window(4, 5))
+    assert not window.equivalent, window.reason
+    outcome = VerificationPipeline().verify(source, candidate)
+    assert not outcome.result.equivalent, outcome.concluded_by

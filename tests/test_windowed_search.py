@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import K2Config
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.instruction import NOP
 from repro.bpf.liveness import compute_liveness
@@ -313,8 +314,11 @@ class TestWindowedCli:
                   "--window-size", "4", "--window-overlap", "4"])
 
     def test_compiler_kwargs_thread_through(self):
-        compiler = K2Compiler(windowed=True, window_size=12, window_overlap=3,
-                              iterations_per_chain=10)
-        assert compiler.options.window_mode is True
-        assert compiler.options.window_size == 12
-        assert compiler.options.window_overlap == 3
+        """The deprecated ``K2Compiler`` kwargs still denote the same
+        options as the equivalent ``K2Config``."""
+        with pytest.warns(DeprecationWarning, match="K2Compiler"):
+            compiler = K2Compiler(windowed=True, window_size=12,
+                                  window_overlap=3, iterations_per_chain=10)
+        assert compiler.options == K2Config(
+            windowed=True, window_size=12, window_overlap=3,
+            iterations=10).search_options()
