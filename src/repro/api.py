@@ -18,10 +18,11 @@ is ``sync_interval`` and so on), so anything expressible on the command
 line is expressible here with the same names and defaults — the CLI
 itself is built on this module, which keeps the two from drifting.
 
-Compatibility: the pre-facade entry points (``K2Compiler(goal=...,
-iterations_per_chain=..., ...)`` and friends) keep working for one
-release behind deprecation shims that emit :class:`DeprecationWarning`;
-new code should construct a :class:`K2Config` and call these functions.
+Compatibility: the pre-facade keyword constructor of ``K2Compiler``
+(``goal=``, ``iterations_per_chain=`` and the rest) is gone after its one
+deprecated release.  :class:`~repro.core.K2Compiler` takes only the
+:class:`~repro.synthesis.SearchOptions` that :meth:`K2Config.compiler`
+builds; anything else should construct a :class:`K2Config`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class K2Config:
     executor: str = "auto"
     sync_interval: Optional[int] = None
     engine: str = DEFAULT_ENGINE_KIND
-    portfolio: bool = False
     windowed: bool = False
     window_size: int = 24
     window_overlap: int = 8
@@ -97,8 +97,6 @@ class K2Config:
     def equivalence_options(self) -> EquivalenceOptions:
         equivalence = EquivalenceOptions.from_stages(self.verify_pipeline) \
             if self.verify_pipeline is not None else EquivalenceOptions()
-        if self.portfolio:
-            equivalence.portfolio = True
         if self.conflict_budget is not None:
             equivalence = dataclasses.replace(
                 equivalence, max_conflicts=int(self.conflict_budget))

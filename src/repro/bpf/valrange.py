@@ -7,33 +7,31 @@ mask-and-shift because ``r3`` was known to be ``0x00000000ffe00000``).  Both
 need a forward dataflow analysis that answers: *what values can this register
 hold at this program point?*
 
-This module implements that analysis as an interval domain over unsigned
-64-bit values:
+This module provides the interval domain over unsigned 64-bit values that
+analysis is built on:
 
-* every ALU instruction has a sound (possibly conservative) transfer
-  function,
+* every ALU operation has a sound (possibly conservative) transfer
+  function (:func:`apply_alu`),
 * conditional jumps against immediates refine the interval on both outgoing
-  edges (``jlt r2, 16`` proves ``r2 ∈ [0, 15]`` on the taken edge),
+  edges (``jlt r2, 16`` proves ``r2 ∈ [0, 15]`` on the taken edge;
+  :func:`refine_interval_for_branch`),
 * joins at control-flow merge points take the interval hull.
 
-It tracks scalars only.  The fused analyzer (:mod:`repro.analysis`) reuses
-its interval domain and branch refinement as the interval component of its
-product domain, next to pointer provenance and known bits; that product is
-what the safety checkers and the window preconditions consume.
+The walk itself is the fused analyzer's (:mod:`repro.analysis`): it uses
+this domain as the interval component of its product domain, next to
+pointer provenance and known bits, and
+:func:`~repro.analysis.states_before` exposes the per-instruction result
+that the safety checkers and the window preconditions consume.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
-from .cfg import build_cfg
-from .hooks import Hook
-from .instruction import Instruction
-from .opcodes import AluOp, InsnClass, JmpOp, NUM_REGISTERS
+from .opcodes import AluOp, JmpOp
 
-__all__ = ["ValueInterval", "RangeAnalysis", "analyze_ranges", "apply_alu",
-           "refine_interval_for_branch"]
+__all__ = ["ValueInterval", "apply_alu", "refine_interval_for_branch"]
 
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
@@ -221,12 +219,8 @@ def apply_alu(op: AluOp, dst: ValueInterval, src: ValueInterval,
     return result
 
 
-#: Backwards-compatible alias (the function predates the public name).
-_apply_alu = apply_alu
-
-
-def _refine_for_branch(interval: ValueInterval, op: JmpOp, imm: int,
-                       taken: bool) -> Optional[ValueInterval]:
+def refine_interval_for_branch(interval: ValueInterval, op: JmpOp, imm: int,
+                               taken: bool) -> Optional[ValueInterval]:
     """Refine ``interval`` knowing a comparison against ``imm`` was taken or not.
 
     Returns None when the branch outcome is impossible for the interval
@@ -262,135 +256,3 @@ def _refine_for_branch(interval: ValueInterval, op: JmpOp, imm: int,
             return None
         return interval.meet(bound)
     return interval
-
-
-#: Public name used by the fused analyzer (:mod:`repro.analysis`); the
-#: branch-refinement rules are shared between both interval consumers.
-refine_interval_for_branch = _refine_for_branch
-
-
-class RangeAnalysis:
-    """Per-instruction register intervals computed by :func:`analyze_ranges`."""
-
-    def __init__(self, before: List[Optional[Dict[int, ValueInterval]]]):
-        self._before = before
-
-    def interval_before(self, index: int, reg: int) -> ValueInterval:
-        """Interval of ``reg`` immediately before instruction ``index``."""
-        state = self._before[index]
-        if state is None:
-            return ValueInterval.top()
-        return state.get(reg, ValueInterval.top())
-
-    def known_constant(self, index: int, reg: int) -> Optional[int]:
-        """The concrete value of ``reg`` before ``index``, if provable."""
-        return self.interval_before(index, reg).const
-
-    def constants_before(self, index: int) -> Dict[int, int]:
-        """Every register with a provably constant value before ``index``.
-
-        This is exactly the "inferred concrete valuations" set the paper uses
-        to strengthen window preconditions (Appendix C.2).
-        """
-        state = self._before[index] or {}
-        return {reg: interval.lo for reg, interval in state.items()
-                if interval.is_constant}
-
-
-def analyze_ranges(instructions: Sequence[Instruction],
-                   hook: Optional[Hook] = None) -> RangeAnalysis:
-    """Run the interval analysis over a loop-free program.
-
-    Pointer-valued registers simply carry the ⊤ interval; the analysis makes
-    no attempt to distinguish them (that is :mod:`repro.analysis`' job).
-    """
-    del hook  # the input convention does not affect scalar ranges
-    instructions = list(instructions)
-    cfg = build_cfg(instructions)
-
-    top_state = {reg: ValueInterval.top() for reg in range(NUM_REGISTERS)}
-    before: List[Optional[Dict[int, ValueInterval]]] = \
-        [None] * len(instructions)
-    block_entry: Dict[int, Dict[int, ValueInterval]] = {0: dict(top_state)}
-
-    for block_index in cfg.topological_order():
-        block = cfg.blocks[block_index]
-        state = block_entry.get(block_index)
-        if state is None:   # unreachable block
-            continue
-        state = dict(state)
-        for index in range(block.start, block.end):
-            before[index] = dict(state)
-            _transfer(state, instructions[index])
-
-        last = instructions[block.end - 1]
-        taken_state, fallthrough_state = _branch_states(state, last,
-                                                        before[block.end - 1])
-        for successor in block.successors:
-            succ_start = cfg.blocks[successor].start
-            if last.is_conditional_jump and \
-                    succ_start == block.end - 1 + 1 + last.off:
-                out_state = taken_state
-            else:
-                out_state = fallthrough_state
-            if out_state is None:
-                continue
-            existing = block_entry.get(successor)
-            if existing is None:
-                block_entry[successor] = dict(out_state)
-            else:
-                block_entry[successor] = {
-                    reg: existing[reg].join(out_state[reg])
-                    for reg in range(NUM_REGISTERS)}
-    return RangeAnalysis(before)
-
-
-def _transfer(state: Dict[int, ValueInterval], insn: Instruction) -> None:
-    """Update ``state`` in place with the effect of ``insn``."""
-    if insn.is_nop:
-        return
-    if insn.is_lddw:
-        value = insn.imm64 if insn.imm64 is not None else insn.imm
-        state[insn.dst] = ValueInterval.constant(value)
-        return
-    if insn.is_alu:
-        op = insn.alu_op
-        if op in (AluOp.NEG, AluOp.END):
-            state[insn.dst] = ValueInterval.top()
-            return
-        src = state[insn.src] if insn.uses_reg_source \
-            else ValueInterval.constant(insn.imm)
-        state[insn.dst] = _apply_alu(op, state[insn.dst], src,
-                                     insn.insn_class == InsnClass.ALU64)
-        return
-    if insn.is_load:
-        state[insn.dst] = ValueInterval(0, (1 << (8 * insn.access_bytes)) - 1)
-        return
-    if insn.is_call:
-        for reg in range(6):
-            state[reg] = ValueInterval.top()
-        return
-    # Stores, jumps and exits do not define registers.
-
-
-def _branch_states(state: Dict[int, ValueInterval], last: Instruction,
-                   state_before_last: Optional[Dict[int, ValueInterval]]):
-    """Per-edge refined states after the block's final instruction."""
-    taken = dict(state)
-    fallthrough = dict(state)
-    if not last.is_conditional_jump or last.uses_reg_source \
-            or last.insn_class == InsnClass.JMP32:
-        # JMP32 compares only the low halves; refining the full 64-bit
-        # interval from it would be unsound, so those branches refine nothing.
-        return taken, fallthrough
-    base = state_before_last or state
-    interval = base.get(last.dst, ValueInterval.top())
-    refined_taken = _refine_for_branch(interval, last.jmp_op, last.imm, True)
-    refined_fall = _refine_for_branch(interval, last.jmp_op, last.imm, False)
-    taken_state = None if refined_taken is None else taken
-    fall_state = None if refined_fall is None else fallthrough
-    if taken_state is not None and refined_taken is not None:
-        taken_state[last.dst] = refined_taken
-    if fall_state is not None and refined_fall is not None:
-        fall_state[last.dst] = refined_fall
-    return taken_state, fall_state

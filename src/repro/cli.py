@@ -4,7 +4,7 @@ Examples::
 
     k2 optimize program.s --hook xdp --iterations 2000
     k2 optimize --benchmark xdp_pktcntr --engine decoded  # engine ablation
-    k2 optimize --benchmark sys_enter_open --portfolio    # portfolio solver
+    k2 optimize --benchmark sys_enter_wide --conflict-budget 50000  # query deadline
     k2 optimize --benchmark xdp_pktcntr --store verdicts.k2s  # warm start
     k2 check program.s --hook xdp
     k2 corpus --list
@@ -69,8 +69,8 @@ def _search_config(args: argparse.Namespace) -> api.K2Config:
         windowed=args.windowed,
         window_size=args.window_size, window_overlap=args.window_overlap,
         conflict_budget=args.conflict_budget)
-    for flag in ("portfolio", "store", "verify_pipeline", "priority",
-                 "shards", "share_cache", "share_counterexamples"):
+    for flag in ("store", "verify_pipeline", "priority", "shards",
+                 "share_cache", "share_counterexamples"):
         if hasattr(args, flag):
             setattr(config, flag, getattr(args, flag))
     return config
@@ -288,14 +288,6 @@ def main(argv=None) -> int:
                                "completion without mid-run sharing")
     optimize.add_argument("--engine", default=DEFAULT_ENGINE_KIND,
                           choices=list(ENGINE_KINDS), help=ENGINE_HELP)
-    optimize.add_argument("--portfolio", action="store_true",
-                          help="portfolio equivalence front end: run the "
-                               "incremental solver session and a fresh "
-                               "solver per query on a deterministic "
-                               "budget-doubling dovetail, first verdict "
-                               "wins; bounds the incremental session's "
-                               "worst case (Table 4) without giving up its "
-                               "common-case speedups")
     optimize.add_argument("--windowed", action="store_true",
                           help="windowed segment synthesis: slice the program "
                                "into overlapping windows, search each window "
@@ -324,7 +316,8 @@ def main(argv=None) -> int:
     optimize.add_argument("--conflict-budget", type=int, default=None,
                           metavar="N",
                           help="per-query solver conflict budget "
-                               "(Solver.set_conflict_budget): an SMT query "
+                               "(EquivalenceOptions.max_conflicts, fixed when "
+                               "each session solver is built): an SMT query "
                                "that exhausts it degrades to 'unknown' and "
                                "the pipeline escalates, so one pathological "
                                "candidate cannot hang the search; omit for "

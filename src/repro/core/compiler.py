@@ -5,13 +5,14 @@
 binary format) and produces a safe, formally-equivalent, more compact or
 faster drop-in replacement, exactly as described in §2.3 of the paper.
 
-Typical usage::
+Typical usage (search knobs come from a typed :class:`repro.api.K2Config`,
+whose :meth:`~repro.api.K2Config.compiler` builds the ``K2Compiler``)::
 
+    from repro.api import K2Config
     from repro.bpf import BpfProgram, HookType, assemble
-    from repro.core import K2Compiler, OptimizationGoal
 
     program = BpfProgram.create(assemble(source_text), HookType.XDP)
-    compiler = K2Compiler(goal=OptimizationGoal.INSTRUCTION_COUNT)
+    compiler = K2Config(goal="size").compiler()
     result = compiler.optimize(program)
     print(result.summary())
     optimized = result.optimized        # a BpfProgram, drop-in replacement
@@ -20,15 +21,12 @@ Typical usage::
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import List, Optional
 
 from ..bpf.encoder import decode_program, encode_program
 from ..bpf.hooks import HookType
 from ..bpf.maps import MapEnvironment
 from ..bpf.program import BpfProgram
-from ..engine import DEFAULT_ENGINE_KIND
-from ..equivalence import EquivalenceOptions
 from ..perf.latency_model import DEFAULT_LATENCY_MODEL
 from ..synthesis.cost import PerformanceGoal
 from ..synthesis.params import ParameterSetting
@@ -141,82 +139,7 @@ class CompilationResult:
 class K2Compiler:
     """Program-synthesis-based optimizing compiler for BPF bytecode."""
 
-    def __init__(self, goal: OptimizationGoal = OptimizationGoal.INSTRUCTION_COUNT,
-                 iterations_per_chain: int = 2000,
-                 num_parameter_settings: int = 4,
-                 top_k: Optional[int] = None,
-                 seed: int = 0,
-                 time_budget_seconds: Optional[float] = None,
-                 num_workers: int = 1,
-                 executor: str = "auto",
-                 sync_interval: Optional[int] = None,
-                 verify_stages: Optional[str] = None,
-                 equivalence: Optional[EquivalenceOptions] = None,
-                 engine: str = DEFAULT_ENGINE_KIND,
-                 portfolio: bool = False,
-                 windowed: bool = False,
-                 window_size: int = 24,
-                 window_overlap: int = 8,
-                 store: Optional[str] = None,
-                 conflict_budget: Optional[int] = None,
-                 options: Optional[SearchOptions] = None):
-        if options is not None and (verify_stages is not None
-                                    or equivalence is not None or portfolio
-                                    or conflict_budget is not None):
-            raise ValueError("an explicit SearchOptions already carries its "
-                             "EquivalenceOptions; do not combine options with "
-                             "verify_stages/equivalence/portfolio")
-        if options is not None and (windowed or window_size != 24
-                                    or window_overlap != 8):
-            raise ValueError("an explicit SearchOptions already carries its "
-                             "window_mode/window_size/window_overlap; set "
-                             "them on the SearchOptions instead of the "
-                             "windowed/window_* kwargs")
-        if options is not None and store is not None:
-            raise ValueError("an explicit SearchOptions already carries its "
-                             "store_path; set it on the SearchOptions "
-                             "instead of the store kwarg")
-        if options is None:
-            # One-release deprecation shim: the keyword sprawl still works,
-            # but the stable spelling is a typed ``repro.api.K2Config``
-            # (``K2Config(...).compiler()`` or ``repro.api.optimize``).
-            warnings.warn(
-                "K2Compiler(goal=..., iterations_per_chain=..., ...) is "
-                "deprecated; build a repro.api.K2Config and use "
-                "repro.api.optimize() (or K2Config.compiler()) instead",
-                DeprecationWarning, stacklevel=2)
-            if equivalence is None:
-                equivalence = EquivalenceOptions.from_stages(verify_stages) \
-                    if verify_stages is not None else EquivalenceOptions()
-            elif verify_stages is not None:
-                raise ValueError(
-                    "pass either verify_stages or equivalence, not both")
-            if portfolio:
-                equivalence.portfolio = True
-            if conflict_budget is not None:
-                # Per-query solver deadline (Solver.set_conflict_budget): a
-                # hung SMT query degrades to `unknown` instead of stalling.
-                if conflict_budget <= 0:
-                    raise ValueError("conflict_budget must be positive")
-                equivalence = dataclasses.replace(
-                    equivalence, max_conflicts=int(conflict_budget))
-            options = SearchOptions(
-                goal=goal,
-                iterations_per_chain=iterations_per_chain,
-                num_parameter_settings=num_parameter_settings,
-                top_k=top_k if top_k is not None else (
-                    1 if goal == OptimizationGoal.INSTRUCTION_COUNT else 5),
-                seed=seed,
-                time_budget_seconds=time_budget_seconds,
-                num_workers=num_workers,
-                executor=executor,
-                sync_interval=sync_interval,
-                equivalence=equivalence,
-                engine=engine,
-                window_mode=windowed,
-                window_size=window_size,
-                window_overlap=window_overlap,
-                store_path=store)
+    def __init__(self, options: SearchOptions):
         self.options = options
         self.kernel_checker = KernelChecker()
 

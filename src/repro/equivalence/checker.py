@@ -77,18 +77,6 @@ class EquivalenceOptions:
     #: Clause-database size at which a checker retires its incremental
     #: solver session and starts a fresh one (bounds long-run memory).
     max_session_clauses: int = 250_000
-    #: Portfolio front end for the ``full`` stage: run the incremental
-    #: session and a fresh-solver-per-query session on a deterministic
-    #: budget-doubling dovetail; the first conclusive verdict wins (see
-    #: :class:`repro.verification.PortfolioEquivalenceChecker`).  Bounds the
-    #: worst case of a polluted incremental session without giving up its
-    #: common-case wins.
-    portfolio: bool = False
-    #: First conflict-budget slice of the portfolio dovetail.
-    portfolio_initial_conflicts: int = 4096
-    #: Multiplier applied to the slice budget after both front ends
-    #: exhaust it (capped at ``max_conflicts``).
-    portfolio_growth: int = 8
 
     #: Pipeline stage order, mapped to the toggle controlling each stage.
     STAGE_TOGGLES = (("replay", "interpreter_replay"),
@@ -174,10 +162,6 @@ class EquivalenceChecker:
         self.options = options or EquivalenceOptions()
         self.num_queries = 0
         self.total_time = 0.0
-        #: Per-query conflict-budget override (``None`` uses
-        #: ``options.max_conflicts``).  The portfolio front end sets this
-        #: between dovetail slices; it applies to the live session solver.
-        self.conflict_budget: Optional[int] = None
         self._session: Optional[_CheckerSession] = None
 
     # ------------------------------------------------------------------ #
@@ -203,22 +187,7 @@ class EquivalenceChecker:
         if session is None:
             session = _CheckerSession(source, self.options)
             self._session = session
-        budget = self.conflict_budget if self.conflict_budget is not None \
-            else self.options.max_conflicts
-        if session.solver.conflict_budget != budget:
-            session.solver.set_conflict_budget(budget)
         return session
-
-    @property
-    def session_conflicts(self) -> int:
-        """Conflicts resolved by the live session's SAT core (0 if none).
-
-        A deterministic effort metric: unlike wall clock it is identical
-        across runs and executor backends, which is what lets the portfolio
-        order its front ends without breaking reproducibility.
-        """
-        session = self._session
-        return session.solver.conflicts if session is not None else 0
 
     # ------------------------------------------------------------------ #
     def check(self, source: BpfProgram, candidate: BpfProgram) -> EquivalenceResult:

@@ -118,9 +118,6 @@ class WindowEquivalenceChecker:
     def __init__(self, options: Optional[EquivalenceOptions] = None):
         self.options = options or EquivalenceOptions()
         self.num_queries = 0
-        #: Per-query conflict-budget override (``None`` uses
-        #: ``options.max_conflicts``); set by the portfolio front end.
-        self.conflict_budget: Optional[int] = None
         self._session: Optional[_WindowSession] = None
 
     # ------------------------------------------------------------------ #
@@ -144,17 +141,7 @@ class WindowEquivalenceChecker:
         if session is None:
             session = _WindowSession(source, self.options)
             self._session = session
-        budget = self.conflict_budget if self.conflict_budget is not None \
-            else self.options.max_conflicts
-        if session.solver.conflict_budget != budget:
-            session.solver.set_conflict_budget(budget)
         return session
-
-    @property
-    def session_conflicts(self) -> int:
-        """Conflicts resolved by the live session's SAT core (0 if none)."""
-        session = self._session
-        return session.solver.conflicts if session is not None else 0
 
     # ------------------------------------------------------------------ #
     def check(self, source: BpfProgram, candidate: BpfProgram,

@@ -5,7 +5,7 @@ service:
 
 * :mod:`repro.service.protocol` — versioned, typed newline-delimited JSON
   over a local socket (``AF_UNIX`` where available, loopback TCP
-  elsewhere), with a one-release compat shim for unversioned v0 peers;
+  elsewhere);
 * :mod:`repro.service.jobs` — job specs, states, priorities and the
   journaled queue that survives daemon restarts;
 * :mod:`repro.service.daemon` — :class:`K2Daemon`: the concurrent

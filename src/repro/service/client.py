@@ -1,8 +1,7 @@
 """Client side of the serve protocol: what ``k2 submit`` etc. talk through.
 
-Speaks protocol v1 (typed requests carrying ``proto``/capabilities; see
-:mod:`repro.service.protocol`) and understands both v1 structured errors
-and legacy v0 string errors, so one client binary spans a daemon upgrade.
+Speaks protocol v1: typed requests carrying ``proto``/capabilities and
+structured ``{code, message}`` errors (see :mod:`repro.service.protocol`).
 
 Two interaction shapes:
 
@@ -47,11 +46,11 @@ class DaemonClient:
     # Transport
     # ------------------------------------------------------------------ #
     def request(self, payload: dict) -> dict:
-        """One raw request → raw response dict (compat / debugging door).
+        """One raw request → raw response dict (debugging door).
 
         Typed callers go through :meth:`request_typed`; this stays public
         because a dict in, dict out escape hatch is the cheapest way to
-        poke a daemon (and what the v0-compat tests speak).
+        poke a daemon.
         """
         try:
             sock = protocol.connect(self.state_dir, timeout=self.timeout)

@@ -382,34 +382,25 @@ class K2Daemon:
                 reader = protocol.LineReader(conn)
                 try:
                     message = reader.read_message()
+                    if message is None:
+                        return
+                    request = protocol.decode_request(message)
                 except protocol.ProtocolError as exc:
+                    # Unversioned, unknown-op and over-long requests get a
+                    # structured error, never a dropped connection.
                     protocol.send_message(conn, protocol.ErrorResponse(
-                        code=exc.code, message=str(exc)).to_wire(proto=0))
+                        code=exc.code, message=str(exc)).to_wire())
                     return
                 except (ValueError, OSError) as exc:
                     protocol.send_message(conn, protocol.ErrorResponse(
                         code="bad-request",
-                        message=f"bad request: {exc}").to_wire(proto=0))
-                    return
-                if message is None:
-                    return
-                try:
-                    request, proto = protocol.decode_request(message)
-                except protocol.ProtocolError as exc:
-                    # Unknown ops and malformed requests get a structured
-                    # error in the shape their generation expects.
-                    proto = 1 if message.get("proto") else 0
-                    protocol.send_message(
-                        conn,
-                        protocol.response_to_wire(protocol.ErrorResponse(
-                            code=exc.code, message=str(exc)), proto))
+                        message=f"bad request: {exc}").to_wire())
                     return
                 if isinstance(request, protocol.WatchRequest):
-                    self._serve_watch(conn, request, proto)
+                    self._serve_watch(conn, request)
                     return
                 response = self._dispatch(request)
-                protocol.send_message(
-                    conn, protocol.response_to_wire(response, proto))
+                protocol.send_message(conn, response.to_wire())
                 # Stop only after the acknowledgement is on the wire —
                 # stopping first races the process exit against the send.
                 if isinstance(request, protocol.ShutdownRequest):
@@ -472,7 +463,7 @@ class K2Daemon:
         return job
 
     def _serve_watch(self, conn: socket.socket,
-                     request: protocol.WatchRequest, proto: int) -> None:
+                     request: protocol.WatchRequest) -> None:
         """Stream a job's events until its terminal event (or peer loss).
 
         The connection stays open; every pushed line is an
@@ -486,9 +477,8 @@ class K2Daemon:
         """
         job_id = str(request.job or "")
         if self.queue.get(job_id) is None:
-            protocol.send_message(
-                conn, protocol.response_to_wire(protocol.ErrorResponse(
-                    code="unknown-job", message="unknown job"), proto))
+            protocol.send_message(conn, protocol.ErrorResponse(
+                code="unknown-job", message="unknown job").to_wire())
             return
         conn.settimeout(30.0)
         after = int(request.after or 0)
@@ -508,9 +498,7 @@ class K2Daemon:
                     events = [entry for entry in events
                               if entry.seq > after]
             for entry in events:
-                protocol.send_message(
-                    conn, entry.to_wire(proto=proto or
-                                        protocol.PROTO_VERSION))
+                protocol.send_message(conn, entry.to_wire())
                 after = entry.seq
                 if entry.final:
                     return

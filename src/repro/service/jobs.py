@@ -61,10 +61,10 @@ class JobSpec:
     windowed: bool = False
     window_size: int = 24
     window_overlap: int = 8
-    #: Per-query solver conflict budget (``Solver.set_conflict_budget``):
-    #: a hung SMT query degrades to ``unknown`` and the tier escalates, so
-    #: one pathological candidate can never stall the fleet.  ``None``
-    #: keeps the library default.
+    #: Per-query solver conflict budget
+    #: (``EquivalenceOptions.max_conflicts``): a hung SMT query degrades to
+    #: ``unknown`` and the tier escalates, so one pathological candidate
+    #: can never stall the fleet.  ``None`` keeps the library default.
     conflict_budget: Optional[int] = None
     #: Scheduling priority: higher runs first; FIFO within a priority.
     priority: int = 0

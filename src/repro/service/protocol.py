@@ -27,11 +27,8 @@ and client: :func:`decode_request`, :meth:`Message.to_wire` and
   schema), so either side may add fields without breaking the other;
 * unknown *request types* get a structured :class:`ErrorResponse`
   (``{"code": "unknown-op", ...}``), never a dropped connection;
-* **v0 compat shim** (one release): a request without a ``proto`` field is
-  treated as a legacy v0 dict request and answered in the v0 shape —
-  ``error`` is a plain string rather than a ``{code, message}`` object and
-  no ``proto`` field is attached.  The daemon decides per-connection from
-  the request it received; v0 clients never see v1-only framing.
+* a request without an integer ``proto`` gets the same structured error
+  with code ``bad-message``; every reply, errors included, is v1-shaped.
 
 Bumping :data:`PROTO_VERSION` is reserved for changes the field rules
 above cannot absorb (re-typed fields, changed semantics of an existing
@@ -56,7 +53,7 @@ __all__ = ["SOCKET_NAME", "PORT_FILE", "MAX_LINE_BYTES", "PROTO_VERSION",
            "CancelRequest", "JobsRequest", "WatchRequest", "ShutdownRequest",
            "PingResponse", "SubmitResponse", "JobResponse", "JobsResponse",
            "ShutdownResponse", "EventResponse", "ErrorResponse",
-           "decode_request", "decode_response", "response_to_wire"]
+           "decode_request", "decode_response"]
 
 SOCKET_NAME = "daemon.sock"
 PORT_FILE = "daemon.port"
@@ -226,11 +223,10 @@ class Message:
 class Request(Message):
     op: ClassVar[str] = ""
 
-    def to_wire(self, proto: int = PROTO_VERSION) -> dict:
+    def to_wire(self) -> dict:
         payload = self._fields()
         payload["op"] = self.op
-        if proto:
-            payload["proto"] = proto
+        payload["proto"] = PROTO_VERSION
         return payload
 
 
@@ -300,23 +296,23 @@ REQUEST_TYPES: Dict[str, Type[Request]] = {
 }
 
 
-def decode_request(data: dict) -> tuple:
-    """``(request, proto)`` for a raw wire dict.
+def decode_request(data: dict) -> Request:
+    """The typed request a raw wire dict denotes.
 
-    ``proto`` is 0 for legacy v0 requests (no ``proto`` field) — the
-    dispatcher threads it back through :func:`response_to_wire` so v0
-    clients get v0-shaped responses.  Unknown ops raise a typed
-    :class:`ProtocolError` the dispatcher turns into a structured error.
+    A request without an integer ``proto`` and an unknown op both raise a
+    typed :class:`ProtocolError` the dispatcher turns into a structured
+    error.
     """
-    try:
-        proto = int(data.get("proto") or 0)
-    except (TypeError, ValueError):
-        raise ProtocolError("bad-message", "proto must be an integer")
+    proto = data.get("proto")
+    if not isinstance(proto, int) or isinstance(proto, bool) or proto < 1:
+        raise ProtocolError("bad-message",
+                            "request lacks an integer proto (unversioned "
+                            "v0 requests are no longer served)")
     op = data.get("op")
     cls = REQUEST_TYPES.get(op)
     if cls is None:
         raise ProtocolError("unknown-op", f"unknown op {op!r}")
-    return cls.from_wire(data), proto
+    return cls.from_wire(data)
 
 
 # --------------------------------------------------------------------------- #
@@ -324,11 +320,10 @@ def decode_request(data: dict) -> tuple:
 class Response(Message):
     ok: ClassVar[bool] = True
 
-    def to_wire(self, proto: int = PROTO_VERSION) -> dict:
+    def to_wire(self) -> dict:
         payload = self._fields()
         payload["ok"] = self.ok
-        if proto:
-            payload["proto"] = proto
+        payload["proto"] = PROTO_VERSION
         return payload
 
 
@@ -340,7 +335,7 @@ class PingResponse(Response):
     proto_version: int = PROTO_VERSION
     capabilities: List[str] = dataclasses.field(
         default_factory=lambda: list(CAPABILITIES))
-    #: Scheduler occupancy (informational; absent in v0 daemons).
+    #: Scheduler occupancy (informational).
     running: int = 0
     max_concurrent_jobs: int = 1
     worker_budget: int = 1
@@ -392,32 +387,23 @@ class ErrorResponse(Response):
     code: str = "error"
     message: str = ""
 
-    def to_wire(self, proto: int = PROTO_VERSION) -> dict:
-        if proto:
-            return {"ok": False, "proto": proto,
-                    "error": {"code": self.code, "message": self.message}}
-        # v0 shape: error is a bare string.
-        return {"ok": False, "error": self.message}
-
-
-def response_to_wire(response: Response, proto: int) -> dict:
-    """Encode for the generation the *request* arrived in (0 = legacy v0)."""
-    return response.to_wire(proto=proto if proto else 0)
+    def to_wire(self) -> dict:
+        return {"ok": False, "proto": PROTO_VERSION,
+                "error": {"code": self.code, "message": self.message}}
 
 
 def decode_response(data: dict) -> Response:
     """Typed view of a response dict (client side).
 
-    Tolerates v0 daemons: a missing ``proto`` plus a string ``error`` is
-    lifted into a structured :class:`ErrorResponse`.  Success responses
-    are classified by their payload fields.
+    Errors carry a structured ``{code, message}`` object; success
+    responses are classified by their payload fields.
     """
     if not data.get("ok"):
         error = data.get("error")
-        if isinstance(error, dict):
-            return ErrorResponse(code=str(error.get("code") or "error"),
-                                 message=str(error.get("message") or ""))
-        return ErrorResponse(code="error", message=str(error or ""))
+        if not isinstance(error, dict):
+            raise ProtocolError("bad-message", "unstructured error response")
+        return ErrorResponse(code=str(error.get("code") or "error"),
+                             message=str(error.get("message") or ""))
     if "event" in data:
         return EventResponse.from_wire(data)
     if "pid" in data:

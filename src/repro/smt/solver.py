@@ -166,26 +166,6 @@ class Solver:
     def reset(self) -> None:
         self._reset_core()
 
-    def set_conflict_budget(self, max_conflicts: Optional[int]) -> None:
-        """Change the per-:meth:`check` conflict budget on the live core.
-
-        Takes effect on the next :meth:`check`; the clause database, the
-        blasted structure and every learned clause are untouched, so a
-        query re-run under a larger budget resumes from an already-warm
-        solver.  ``None`` removes the budget entirely.
-        """
-        self._max_conflicts = max_conflicts
-        self._sat.max_conflicts = max_conflicts
-
-    @property
-    def conflict_budget(self) -> Optional[int]:
-        return self._max_conflicts
-
-    @property
-    def conflicts(self) -> int:
-        """Total CDCL conflicts this core has resolved (deterministic)."""
-        return self._sat.conflicts
-
     @property
     def assertions(self) -> List[Expr]:
         exprs = list(self._base)

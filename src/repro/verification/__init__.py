@@ -7,7 +7,6 @@ optional leading static-safety stage (fused analyzer pre-check) rejects
 provably-unsafe candidates before any execution or solver work.
 """
 
-from .portfolio import PortfolioEquivalenceChecker
 from .stages import (
     CacheLookupStage, FullSymbolicStage, InterpreterReplayStage, StageOutcome,
     StageVerdict, StaticSafetyStage, VerificationStage, WindowCheckStage,

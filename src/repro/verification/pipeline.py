@@ -39,7 +39,6 @@ from ..equivalence import (
     EquivalenceResult, Window, WindowEquivalenceChecker,
 )
 from ..interpreter import ProgramInput, ProgramOutput
-from .portfolio import PortfolioEquivalenceChecker
 from .stages import (
     CacheLookupStage, FullSymbolicStage, InterpreterReplayStage, StageOutcome,
     StageVerdict, StaticSafetyStage, VerificationStage, WindowCheckStage,
@@ -188,16 +187,8 @@ class VerificationPipeline:
         # shared with the owning chain's test suite when the caller passes
         # the same instance).
         self.engine = engine if engine is not None else create_engine()
-        # The solver-backed front ends: single incremental checkers, or —
-        # with ``options.portfolio`` — deterministic two-solver portfolios
-        # that bound the incremental sessions' worst case (Table 4).
-        if self.options.portfolio:
-            self.checker = PortfolioEquivalenceChecker(self.options)
-            self.window_checker = PortfolioEquivalenceChecker(
-                self.options, factory=WindowEquivalenceChecker)
-        else:
-            self.checker = EquivalenceChecker(self.options)
-            self.window_checker = WindowEquivalenceChecker(self.options)
+        self.checker = EquivalenceChecker(self.options)
+        self.window_checker = WindowEquivalenceChecker(self.options)
         if stages is not None:
             self.stages: List[VerificationStage] = stages
         else:

@@ -11,17 +11,22 @@ semantics the interpreter itself executes
   widen its output (checked on the abstract ordering directly);
 * **ALU transfer over-approximation** — for members ``x ∈ γ(a)``,
   ``y ∈ γ(b)``, the concrete 64- or 32-bit result is a member of the
-  abstract result, for every ALU opcode the analyzer models.
+  abstract result, for every ALU opcode the analyzer models; on
+  constants the result is exact, down to the value a whole program
+  exits with in the interpreter.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import states_before
 from repro.analysis.domains import AbsVal, scalar_alu_transfer
 from repro.analysis.tnum import Tnum
+from repro.bpf import BpfProgram, HookType, builders
 from repro.bpf.opcodes import AluOp, JmpOp
 from repro.bpf.valrange import (
     ValueInterval, apply_alu, refine_interval_for_branch,
 )
+from repro.interpreter import ProgramInput, run_program
 from repro.semantics import alu_op_concrete, jump_taken_concrete
 
 U64 = (1 << 64) - 1
@@ -194,12 +199,22 @@ class TestAluTransferSoundness:
         assert result.tnum.contains(concrete)
         assert result.rng.contains(concrete)
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(x=u64s, y=u64s, op=st.sampled_from(ALU_OPS), is64=st.booleans())
     def test_constant_folding_is_exact(self, x, y, op, is64):
         result = scalar_alu_transfer(op, AbsVal.scalar(x), AbsVal.scalar(y),
                                      is64)
-        assert result.const == alu_op_concrete(op, x, y, is64)
+        concrete = alu_op_concrete(op, x, y, is64)
+        assert result.const == concrete
+        # The whole-program walk predicts the value the interpreter exits
+        # with.
+        alu = builders.ALU64_REG if is64 else builders.ALU32_REG
+        program = BpfProgram.create([
+            builders.LDDW(0, x), builders.LDDW(1, y), alu(op, 0, 1),
+            builders.EXIT_INSN()], HookType.XDP)
+        states = states_before(program.instructions, program.hook)
+        output = run_program(program, ProgramInput(packet=bytes(64)))
+        assert states[-1].regs[0].const == concrete == output.observable()[0]
 
 
 # --------------------------------------------------------------------------- #

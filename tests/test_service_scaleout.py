@@ -3,7 +3,7 @@
 Layered like the implementation:
 
 * protocol v1 — typed codec round-trips, forward compatibility (unknown
-  fields ignored), structured errors, and the v0 dict shim;
+  fields ignored), and structured errors, unversioned requests included;
 * shard planning and the deterministic merge — a sharded search's merged
   result carries the unsharded run's ``search_signature``;
 * scheduler semantics — concurrent jobs bit-identical to serial ones,
@@ -105,24 +105,18 @@ def shard_signature(result):
 
 
 # --------------------------------------------------------------------- #
-# Protocol v1: typed codec, forward compat, v0 shim
+# Protocol v1: typed codec, forward compat, structured errors
 # --------------------------------------------------------------------- #
 class TestProtocolV1:
     def test_request_round_trip_carries_proto(self):
         wire = protocol.WatchRequest(job="j0001", after=7, run="abc").to_wire()
         assert wire["proto"] == protocol.PROTO_VERSION
-        request, proto = protocol.decode_request(wire)
-        assert proto == protocol.PROTO_VERSION
+        request = protocol.decode_request(wire)
         assert isinstance(request, protocol.WatchRequest)
         assert (request.job, request.after, request.run) == ("j0001", 7, "abc")
 
-    def test_v0_requests_decode_with_proto_zero(self):
-        request, proto = protocol.decode_request({"op": "status",
-                                                  "job": "j0001"})
-        assert proto == 0 and isinstance(request, protocol.StatusRequest)
-
     def test_unknown_fields_are_ignored_not_fatal(self):
-        request, _ = protocol.decode_request(
+        request = protocol.decode_request(
             {"op": "ping", "proto": 1, "from_the_future": True})
         assert isinstance(request, protocol.PingRequest)
         response = protocol.decode_response(
@@ -135,19 +129,6 @@ class TestProtocolV1:
             protocol.decode_request({"op": "frobnicate", "proto": 1})
         assert info.value.code == "unknown-op"
 
-    def test_error_shape_per_generation(self):
-        error = protocol.ErrorResponse(code="unknown-job",
-                                       message="unknown job")
-        v1 = error.to_wire(proto=1)
-        assert v1["error"] == {"code": "unknown-job", "message": "unknown job"}
-        v0 = error.to_wire(proto=0)
-        assert v0["error"] == "unknown job" and "proto" not in v0
-        # Both shapes decode back to the same structured error.
-        for wire in (v1, v0):
-            decoded = protocol.decode_response(wire)
-            assert isinstance(decoded, protocol.ErrorResponse)
-            assert decoded.message == "unknown job"
-
     def test_line_reader_splits_coalesced_event_lines(self):
         left, right = __import__("socket").socketpair()
         with left, right:
@@ -158,29 +139,32 @@ class TestProtocolV1:
             assert reader.read_message() == {"a": 2}
             assert reader.read_message() is None
 
-    def test_v0_client_against_v1_daemon(self, tmp_path):
-        """A pre-versioning client's raw dicts keep working end-to-end."""
+    def test_unversioned_request_gets_structured_error(self, tmp_path):
+        """A request without an integer ``proto`` is refused in the v1
+        shape, and the daemon keeps serving afterwards."""
+        for bad in ({"op": "status", "job": "j0001"},
+                    {"op": "ping", "proto": "1"}, {"op": "ping", "proto": 0}):
+            with pytest.raises(protocol.ProtocolError) as info:
+                protocol.decode_request(bad)
+            assert info.value.code == "bad-message"
         with daemon(tmp_path / "state") as (_, client):
-            pong = client.request({"op": "ping"})
-            assert pong["ok"] and "proto" not in pong
-            submitted = client.request(
-                {"op": "submit", "spec": dict(SPEC, iterations=40,
-                                              settings=1)})
-            assert submitted["ok"] and "proto" not in submitted
-            job_id = submitted["job"]
-            status = client.request({"op": "status", "job": job_id})
-            assert status["ok"] and status["job"]["id"] == job_id
-            # v0 errors are bare strings; v1 errors are structured.
-            bad_v0 = client.request({"op": "frobnicate"})
-            assert bad_v0["ok"] is False
-            assert isinstance(bad_v0["error"], str)
-            bad_v1 = client.request({"op": "frobnicate", "proto": 1})
-            assert bad_v1["ok"] is False
-            assert bad_v1["error"]["code"] == "unknown-op"
-            # The daemon's own ping answer advertises its generation.
-            versioned = client.ping()
-            assert versioned["proto_version"] == protocol.PROTO_VERSION
-            assert "watch" in versioned["capabilities"]
+            refused = client.request({"op": "ping"})
+            assert refused["ok"] is False
+            assert refused["proto"] == protocol.PROTO_VERSION
+            assert refused["error"]["code"] == "bad-message"
+            decoded = protocol.decode_response(refused)
+            assert isinstance(decoded, protocol.ErrorResponse)
+            assert decoded.code == "bad-message"
+            unknown = client.request({"op": "frobnicate", "proto": 1})
+            assert unknown["error"]["code"] == "unknown-op"
+            with protocol.connect(client.state_dir) as sock:
+                sock.sendall(b"not json\n")
+                garbled = protocol.recv_message(sock)
+            assert garbled["proto"] == protocol.PROTO_VERSION
+            assert garbled["error"]["code"] == "bad-request"
+            pong = client.ping()
+            assert pong["ok"] and pong["proto"] == protocol.PROTO_VERSION
+            assert "watch" in pong["capabilities"]
 
 
 # --------------------------------------------------------------------- #

@@ -1,22 +1,17 @@
-"""Tests for the register value-range analysis (repro.bpf.valrange)."""
+"""Tests for the unsigned 64-bit interval domain (repro.bpf.valrange).
+
+The fused analysis that walks programs with this domain is tested through
+:func:`repro.analysis.states_before` in ``test_bpf_cfg_liveness.py`` and
+``test_analysis_domains.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bpf import builders
-from repro.bpf.hooks import HookType
-from repro.bpf.opcodes import JmpOp, MemSize
-from repro.bpf.program import BpfProgram
-from repro.bpf.valrange import ValueInterval, analyze_ranges
-from repro.corpus import get_benchmark
-from repro.interpreter import ProgramInput, run_program
+from repro.bpf.valrange import ValueInterval
 
 U64 = (1 << 64) - 1
-
-
-def _insns(program):
-    return BpfProgram.create(list(program), HookType.XDP).instructions
 
 
 # --------------------------------------------------------------------------- #
@@ -69,150 +64,3 @@ class TestValueInterval:
         assert interval.contains(a) and interval.contains(b)
         meet = interval.meet(ValueInterval.constant(a))
         assert meet is not None and meet.contains(a)
-
-
-# --------------------------------------------------------------------------- #
-# The analysis on straight-line code
-# --------------------------------------------------------------------------- #
-class TestStraightLineRanges:
-    def test_constants_propagate_through_alu(self):
-        insns = _insns([
-            builders.MOV64_IMM(2, 6),
-            builders.ADD64_IMM(2, 10),
-            builders.LSH64_IMM(2, 2),
-            builders.MOV64_REG(0, 2),
-            builders.EXIT_INSN(),
-        ])
-        ranges = analyze_ranges(insns)
-        assert ranges.known_constant(1, 2) == 6
-        assert ranges.known_constant(2, 2) == 16
-        assert ranges.known_constant(3, 2) == 64
-
-    def test_lddw_constant(self):
-        insns = _insns([
-            builders.LDDW(3, 0x00000000FFE00000),
-            builders.MOV64_IMM(0, 0),
-            builders.EXIT_INSN(),
-        ])
-        ranges = analyze_ranges(insns)
-        assert ranges.known_constant(1, 3) == 0x00000000FFE00000
-
-    def test_load_bounded_by_width(self):
-        insns = _insns([
-            builders.MOV64_IMM(1, 0),
-            builders.STX_MEM(MemSize.W, 10, 1, -4),
-            builders.LDX_MEM(MemSize.B, 2, 10, -4),
-            builders.MOV64_REG(0, 2),
-            builders.EXIT_INSN(),
-        ])
-        ranges = analyze_ranges(insns)
-        interval = ranges.interval_before(3, 2)
-        assert interval.hi == 0xFF
-
-    def test_helper_call_clobbers_r0_to_r5(self):
-        insns = get_benchmark("xdp_pktcntr").program().instructions
-        ranges = analyze_ranges(insns)
-        call_index = next(i for i, insn in enumerate(insns) if insn.is_call)
-        assert ranges.interval_before(call_index + 1, 1).is_top
-
-    def test_constants_before_collects_all(self):
-        insns = _insns([
-            builders.MOV64_IMM(2, 3),
-            builders.MOV64_IMM(3, 9),
-            builders.MOV64_REG(0, 2),
-            builders.EXIT_INSN(),
-        ])
-        constants = analyze_ranges(insns).constants_before(2)
-        assert constants[2] == 3 and constants[3] == 9
-
-    def test_32bit_op_truncates(self):
-        insns = _insns([
-            builders.LDDW(2, 0xAAAA_BBBB_CCCC_DDDD),
-            builders.MOV32_REG(2, 2),    # zero-extends the low 32 bits
-            builders.MOV64_REG(0, 2),
-            builders.EXIT_INSN(),
-        ])
-        ranges = analyze_ranges(insns)
-        assert ranges.interval_before(2, 2).hi <= 0xFFFFFFFF
-
-
-# --------------------------------------------------------------------------- #
-# Branch refinement
-# --------------------------------------------------------------------------- #
-class TestBranchRefinement:
-    def _branchy(self, op, imm):
-        # r2 = packet byte; if cond(r2, imm) goto exit path; else r0 = r2
-        return _insns([
-            builders.MOV64_IMM(2, 0),
-            builders.STX_MEM(MemSize.W, 10, 2, -4),
-            builders.LDX_MEM(MemSize.W, 2, 10, -4),
-            builders.JMP_IMM(op, 2, imm, 2),
-            builders.MOV64_REG(0, 2),      # fallthrough: branch not taken
-            builders.EXIT_INSN(),
-            builders.MOV64_REG(0, 2),      # taken target
-            builders.EXIT_INSN(),
-        ])
-
-    def test_jlt_refines_taken_edge(self):
-        ranges = analyze_ranges(self._branchy(JmpOp.JLT, 16))
-        taken = ranges.interval_before(6, 2)
-        fallthrough = ranges.interval_before(4, 2)
-        assert taken.hi == 15
-        assert fallthrough.lo == 16
-
-    def test_jeq_makes_register_constant_on_taken_edge(self):
-        ranges = analyze_ranges(self._branchy(JmpOp.JEQ, 7))
-        assert ranges.known_constant(6, 2) == 7
-        assert ranges.known_constant(4, 2) is None
-
-    def test_jgt_refines_both_edges(self):
-        ranges = analyze_ranges(self._branchy(JmpOp.JGT, 100))
-        assert ranges.interval_before(6, 2).lo == 101
-        assert ranges.interval_before(4, 2).hi == 100
-
-    def test_join_at_merge_point_is_hull(self):
-        insns = _insns([
-            builders.MOV64_IMM(2, 0),
-            builders.JMP_IMM(JmpOp.JEQ, 1, 0, 1),
-            builders.MOV64_IMM(2, 8),
-            builders.MOV64_REG(0, 2),     # merge point: r2 in {0, 8}
-            builders.EXIT_INSN(),
-        ])
-        ranges = analyze_ranges(insns)
-        merged = ranges.interval_before(3, 2)
-        assert merged.lo == 0 and merged.hi == 8
-        assert merged.const is None
-
-    def test_context_dependent_precondition_from_paper(self):
-        """§9 example 2: r3 is known to be 0x00000000ffe00000 before the
-        mask-and-shift sequence — the precondition K2 exploited."""
-        insns = _insns([
-            builders.LDDW(3, 0x00000000FFE00000),
-            builders.MOV64_IMM(2, 0x12345),
-            builders.MOV64_REG(0, 2),
-            builders.AND64_REG(0, 3),
-            builders.RSH64_IMM(0, 21),
-            builders.EXIT_INSN(),
-        ])
-        ranges = analyze_ranges(insns)
-        assert ranges.constants_before(3)[3] == 0x00000000FFE00000
-
-
-# --------------------------------------------------------------------------- #
-# Soundness: the analysis never excludes a value the interpreter produces
-# --------------------------------------------------------------------------- #
-@settings(max_examples=30, deadline=None)
-@given(a=st.integers(min_value=0, max_value=2**31 - 1),
-       b=st.integers(min_value=0, max_value=2**31 - 1),
-       shift=st.integers(min_value=0, max_value=31))
-def test_exit_value_inside_predicted_interval_property(a, b, shift):
-    program = BpfProgram.create([
-        builders.MOV64_IMM(0, a),
-        builders.ADD64_IMM(0, b),
-        builders.RSH64_IMM(0, shift),
-        builders.EXIT_INSN(),
-    ], HookType.XDP)
-    ranges = analyze_ranges(program.instructions)
-    predicted = ranges.interval_before(3, 0)
-    output = run_program(program, ProgramInput(packet=bytes(64)))
-    assert predicted.contains(output.observable()[0])

@@ -17,7 +17,6 @@ from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.instruction import NOP
 from repro.bpf.liveness import compute_liveness
 from repro.bpf.maps import MapDef, MapEnvironment, MapType
-from repro.core import K2Compiler
 from repro.corpus import get_benchmark
 from repro.corpus.programs import LONG_BENCHMARKS
 from repro.equivalence import EquivalenceChecker
@@ -314,11 +313,10 @@ class TestWindowedCli:
                   "--window-size", "4", "--window-overlap", "4"])
 
     def test_compiler_kwargs_thread_through(self):
-        """The deprecated ``K2Compiler`` kwargs still denote the same
-        options as the equivalent ``K2Config``."""
-        with pytest.warns(DeprecationWarning, match="K2Compiler"):
-            compiler = K2Compiler(windowed=True, window_size=12,
-                                  window_overlap=3, iterations_per_chain=10)
-        assert compiler.options == K2Config(
-            windowed=True, window_size=12, window_overlap=3,
-            iterations=10).search_options()
+        """``K2Config``'s window fields reach the ``SearchOptions`` its
+        compiler runs with."""
+        config = K2Config(windowed=True, window_size=12, window_overlap=3)
+        options = config.search_options()
+        assert (options.window_mode, options.window_size,
+                options.window_overlap) == (True, 12, 3)
+        assert config.compiler().options == options
