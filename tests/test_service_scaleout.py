@@ -139,14 +139,34 @@ class TestProtocolV1:
             assert reader.read_message() == {"a": 2}
             assert reader.read_message() is None
 
-    def test_unversioned_request_gets_structured_error(self, tmp_path):
-        """A request without an integer ``proto`` is refused in the v1
-        shape, and the daemon keeps serving afterwards."""
+    def test_error_shape_per_generation(self):
+        """Requests of every generation get one error shape: the
+        structured v1 ``{code, message}`` object."""
+        # Unversioned (v0) requests, and ones whose proto is not a v1
+        # integer, are refused instead of decoded.
         for bad in ({"op": "status", "job": "j0001"},
                     {"op": "ping", "proto": "1"}, {"op": "ping", "proto": 0}):
             with pytest.raises(protocol.ProtocolError) as info:
                 protocol.decode_request(bad)
             assert info.value.code == "bad-message"
+        error = protocol.ErrorResponse(code="unknown-job",
+                                       message="unknown job")
+        wire = error.to_wire()
+        assert wire == {"ok": False, "proto": protocol.PROTO_VERSION,
+                        "error": {"code": "unknown-job",
+                                  "message": "unknown job"}}
+        decoded = protocol.decode_response(wire)
+        assert isinstance(decoded, protocol.ErrorResponse)
+        assert (decoded.code, decoded.message) == ("unknown-job",
+                                                   "unknown job")
+        # A v0 bare-string error is not a response the client accepts.
+        with pytest.raises(protocol.ProtocolError) as info:
+            protocol.decode_response({"ok": False, "error": "unknown job"})
+        assert info.value.code == "bad-message"
+
+    def test_v0_client_against_v1_daemon(self, tmp_path):
+        """A pre-versioning client's raw dicts are refused in the v1
+        shape, and the daemon keeps serving afterwards."""
         with daemon(tmp_path / "state") as (_, client):
             refused = client.request({"op": "ping"})
             assert refused["ok"] is False
