@@ -516,6 +516,10 @@ def _compile_store(insn: Instruction, strict: bool) -> MicroOp:
         buffer[offset:offset + width] = value.to_bytes(width, "little")
         if region is MemRegion.STACK:
             machine.stack_initialized[offset:offset + width] = stack_ones
+        elif region is MemRegion.PACKET:
+            # The fused engine replays near-limit traces through these
+            # micro-ops; the flag invalidates its image-cached packet.
+            machine.packet_dirty = True
         return pc + 1
     return op
 

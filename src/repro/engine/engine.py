@@ -33,7 +33,9 @@ from ..interpreter.errors import (
     InstructionLimitExceeded,
     InvalidJumpTarget,
 )
-from ..interpreter.interpreter import DEFAULT_STEP_LIMIT, Interpreter
+from ..interpreter.interpreter import (
+    DEFAULT_STEP_LIMIT, Interpreter, StopPredicate,
+)
 from ..interpreter.state import PACKET_HEADROOM, ProgramInput, ProgramOutput
 from .decode import DecodedProgram, ProgramDecoder
 from .fuse import FusedDecoder, FusedProgram
@@ -116,26 +118,17 @@ class ExecutionEngine:
         return self._execute(decoded, machine)
 
     def run_batch(self, program: BpfProgram, tests: Sequence[ProgramInput],
-                  stop_on_first_fault: bool = False,
-                  expected: Optional[Sequence[ProgramOutput]] = None,
-                  expected_observables: Optional[Sequence[tuple]] = None,
+                  stop: Optional[StopPredicate] = None,
                   ) -> List[ProgramOutput]:
         """Execute ``program`` on every test, decoding once.
 
-        With ``stop_on_first_fault`` the batch ends after the first faulting
-        output (which is included in the returned list) — callers that only
-        need to know *whether* a candidate misbehaves can skip the rest.
-
-        With ``expected`` (reference outputs aligned with ``tests``) the
-        batch ends after the first output whose ``observable()`` diverges
-        from the reference — the replay stage's first-divergence early
-        exit.  The divergent output is included, so a returned list shorter
-        than ``tests`` pinpoints the refuting index at ``len(result) - 1``.
-
-        ``expected_observables`` is the same early exit against
-        *precomputed* ``ProgramOutput.observable()`` tuples — the replay
-        stage derives them once per counterexample-pool refresh instead of
-        once per candidate.
+        ``stop(index, output)`` is the batch's one early exit: it is called
+        after each test, and the batch ends as soon as it returns true.  The
+        output it was called with is included, so a returned list shorter
+        than ``tests`` ends at the output that stopped it.  The replay stage
+        stops at the first output that diverges from the source (the
+        refuting test is ``result[-1]``); the MCMC step stops once its
+        Metropolis-Hastings step is already lost.
         """
         decoded = self.decode(program)
         machine = self._machine_for(program)
@@ -144,13 +137,7 @@ class ExecutionEngine:
             machine.reset(test)
             output = self._execute(decoded, machine)
             outputs.append(output)
-            if stop_on_first_fault and output.fault is not None:
-                break
-            if expected is not None and \
-                    output.observable() != expected[index].observable():
-                break
-            if expected_observables is not None and \
-                    output.observable() != expected_observables[index]:
+            if stop is not None and stop(index, output):
                 break
         return outputs
 
@@ -272,9 +259,7 @@ class FusedEngine(ExecutionEngine):
         return state
 
     def run_batch(self, program: BpfProgram, tests: Sequence[ProgramInput],
-                  stop_on_first_fault: bool = False,
-                  expected: Optional[Sequence[ProgramOutput]] = None,
-                  expected_observables: Optional[Sequence[tuple]] = None,
+                  stop: Optional[StopPredicate] = None,
                   ) -> List[ProgramOutput]:
         decoded = self.decode(program)
         machine = self._machine_for(program)
@@ -284,13 +269,7 @@ class FusedEngine(ExecutionEngine):
             machine.reset_from_image(image)
             output = self._execute(decoded, machine)
             outputs.append(output)
-            if stop_on_first_fault and output.fault is not None:
-                break
-            if expected is not None and \
-                    output.observable() != expected[index].observable():
-                break
-            if expected_observables is not None and \
-                    output.observable() != expected_observables[index]:
+            if stop is not None and stop(index, output):
                 break
         return outputs
 

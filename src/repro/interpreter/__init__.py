@@ -8,6 +8,6 @@ from .errors import (
 from .state import (
     MachineState, ProgramInput, ProgramOutput, MAP_PTR_BASE, PACKET_HEADROOM,
 )
-from .interpreter import Interpreter, run_program
+from .interpreter import Interpreter, StopPredicate, run_program
 
 __all__ = [name for name in dir() if not name.startswith("_")]

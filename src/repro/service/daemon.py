@@ -138,6 +138,7 @@ def summarize_search_result(result: SearchResult) -> dict:
             "verified_candidates": chain.statistics.verified_candidates,
             "best_found_at_iteration":
                 chain.statistics.best_found_at_iteration,
+            "tests_skipped": chain.statistics.tests_skipped,
             "candidates": [_digest(candidate.program.to_text())
                            for candidate in chain.candidates],
         } for chain in result.chain_results],

@@ -8,7 +8,9 @@ The total cost of a candidate is::
   program's outputs over the test suite, plus an ``unequal * num_tests`` term
   driven by formal equivalence checking.  Eight variants exist (2 diff
   functions x 2 normalizations x 2 num_tests interpretations); all eight are
-  exercised by the parameter sweep of Table 8/9.
+  exercised by the parameter sweep of Table 8/9.  One :class:`ErrorTally`
+  accumulates it test by test in suite order, both for :func:`error_cost`
+  and for the MCMC step's lower bound on a partly run suite.
 * ``perf(p)`` is either the extra instruction count (compactness goal) or the
   extra estimated latency (latency goal) relative to the source.
 * ``safe(p)`` is 0 for safe candidates and ``ERR_MAX`` for unsafe ones — the
@@ -27,8 +29,8 @@ from ..interpreter import ProgramOutput
 from ..perf.latency_model import OpcodeLatencyModel, DEFAULT_LATENCY_MODEL
 
 __all__ = ["DiffKind", "NumTestsVariant", "PerformanceGoal", "CostSettings",
-           "ERR_MAX", "output_distance", "error_cost", "performance_cost",
-           "total_cost"]
+           "ERR_MAX", "output_distance", "ErrorTally", "error_cost",
+           "performance_cost", "total_cost"]
 
 #: Penalty assigned to unsafe candidates (paper: "a large value ERR_MAX").
 ERR_MAX = 100_000.0
@@ -114,6 +116,58 @@ def output_distance(source: ProgramOutput, candidate: ProgramOutput,
     return distance
 
 
+class ErrorTally:
+    """err(p) accumulated one test at a time, in suite order.
+
+    Per-test distances are summed left to right with plain float addition.
+    Every term is non-negative, so the sum over the tests added so far never
+    exceeds the sum over the whole suite, in floating point as well, and
+    the ``num_tests`` count of either variant only grows.  Hence
+    ``cost(1)`` over a prefix is a lower bound on ``cost(1)`` over the
+    whole suite: the MCMC step stops a suite run on it once a test has
+    diverged (which makes ``unequal`` 1).
+    """
+
+    __slots__ = ("num_tests", "seen", "wrong", "distance", "diverged",
+                 "_diff_kind", "_count_correct", "_weight")
+
+    def __init__(self, settings: CostSettings, num_tests: int):
+        #: Size of the suite being tallied (the normalization divisor).
+        self.num_tests = num_tests
+        self.seen = 0
+        #: Tests at a positive distance (the INCORRECT count).
+        self.wrong = 0
+        self.distance = 0.0
+        #: True once some candidate observable differed from the source's,
+        #: i.e. the candidate fails the suite.
+        self.diverged = False
+        self._diff_kind = settings.diff_kind
+        self._count_correct = \
+            settings.num_tests_variant == NumTestsVariant.CORRECT
+        self._weight = 1.0 / num_tests if settings.normalize_by_tests \
+            else 1.0
+
+    def add(self, source: ProgramOutput, candidate: ProgramOutput,
+            source_observable: tuple) -> None:
+        """Tally the next test (``source_observable`` is
+        ``source.observable()``)."""
+        self.seen += 1
+        # Equal observables are at distance 0, which adds nothing.
+        if candidate.observable() == source_observable:
+            return
+        self.diverged = True
+        distance = output_distance(source, candidate, self._diff_kind)
+        if distance > 0:
+            self.distance += distance
+            self.wrong += 1
+
+    def cost(self, unequal: int) -> float:
+        """err(p) over the tests tallied so far."""
+        num_tests = self.seen - self.wrong if self._count_correct \
+            else self.wrong
+        return self._weight * self.distance + unequal * num_tests
+
+
 def error_cost(source_outputs: Sequence[ProgramOutput],
                candidate_outputs: Sequence[ProgramOutput],
                settings: CostSettings,
@@ -121,17 +175,11 @@ def error_cost(source_outputs: Sequence[ProgramOutput],
     """The error component err(p) of the cost function (equation (1))."""
     if not source_outputs:
         return float(unequal)
-    per_test = [output_distance(s, c, settings.diff_kind)
-                for s, c in zip(source_outputs, candidate_outputs)]
-    weight = 1.0 / len(per_test) if settings.normalize_by_tests else 1.0
-    total = weight * sum(per_test)
-
-    num_wrong = sum(1 for d in per_test if d > 0)
-    if settings.num_tests_variant == NumTestsVariant.INCORRECT:
-        num_tests = num_wrong
-    else:
-        num_tests = len(per_test) - num_wrong
-    return total + unequal * num_tests
+    tally = ErrorTally(settings, min(len(source_outputs),
+                                     len(candidate_outputs)))
+    for source, candidate in zip(source_outputs, candidate_outputs):
+        tally.add(source, candidate, source.observable())
+    return tally.cost(unequal)
 
 
 def performance_cost(source: BpfProgram, candidate: BpfProgram,

@@ -7,6 +7,10 @@ every test passes — the tiered verification pipeline
 cache → window check → full symbolic equivalence), then accept or reject the
 proposal (§3.3).  Equivalence and safety counterexamples feed back into the
 test suite so similar candidates are pruned without further solver calls.
+
+Each step draws its acceptance uniform before the evaluation, so the suite
+run can stop as soon as the cost over the tests run so far already loses
+the Metropolis-Hastings test; decisions are those of a full evaluation.
 """
 
 from __future__ import annotations
@@ -25,12 +29,18 @@ from ..perf.latency_model import DEFAULT_LATENCY_MODEL, OpcodeLatencyModel
 from ..safety import SafetyChecker
 from ..verification import VerificationPipeline
 from .cost import (
-    CostSettings, ERR_MAX, error_cost, performance_cost, total_cost,
+    CostSettings, ERR_MAX, ErrorTally, error_cost, performance_cost,
+    total_cost,
 )
 from .proposals import ProposalGenerator, RewriteRuleProbabilities
 from .testcases import TestSuite
 
 __all__ = ["ChainStatistics", "VerifiedCandidate", "ChainResult", "MarkovChain"]
+
+#: Relative slack on the early-stop test: a suite run stops only when the
+#: draw clears the bound's acceptance probability by this factor, so
+#: rounding in ``exp`` can never stop a step the full cost would accept.
+_STOP_MARGIN = 1e-9
 
 
 @dataclasses.dataclass
@@ -75,6 +85,9 @@ class ChainStatistics:
     #: chains.  Surfaced so per-window statistics survive into SearchResult.
     window_start: Optional[int] = None
     window_end: Optional[int] = None
+    #: Suite tests not run because the step was already lost (the
+    #: early stop of :meth:`MarkovChain._evaluate`).
+    tests_skipped: int = 0
 
 
 @dataclasses.dataclass
@@ -240,28 +253,41 @@ class MarkovChain:
         self.stats.iterations += 1
         proposal_insns = self.proposer.propose(self._current)
         candidate = self.source.with_instructions(proposal_insns)
-        candidate_cost, _ = self._evaluate(
-            candidate, started=started)
-
-        accept_probability = 1.0 if candidate_cost <= self._current_cost else \
-            math.exp(-self.beta_anneal * (candidate_cost - self._current_cost))
-        if self.rng.random() < accept_probability:
+        # Drawn ahead of the evaluation, which never uses ``self.rng``: the
+        # RNG stream is the one a draw after the evaluation would see.
+        draw = self.rng.random()
+        candidate_cost, _ = self._evaluate(candidate, started=started,
+                                           draw=draw)
+        if candidate_cost is not None and \
+                draw < self._accept_probability(candidate_cost):
             self._current = proposal_insns
             self._current_cost = candidate_cost
             self.stats.proposals_accepted += 1
 
+    def _accept_probability(self, cost: float) -> float:
+        """The Metropolis-Hastings acceptance probability of ``cost``."""
+        if cost <= self._current_cost:
+            return 1.0
+        return math.exp(-self.beta_anneal * (cost - self._current_cost))
+
     # ------------------------------------------------------------------ #
     def _evaluate(self, candidate: BpfProgram,
-                  started: Optional[float] = None):
-        """Compute the total cost of a candidate (Fig. 1 pipeline)."""
+                  started: Optional[float] = None,
+                  draw: Optional[float] = None):
+        """Compute the total cost of a candidate (Fig. 1 pipeline).
+
+        ``draw`` is the step's acceptance uniform.  With it, the suite run
+        stops as soon as the step is lost on the tests run so far, and the
+        returned cost is ``None`` (the step rejects); every other side
+        effect is the full evaluation's.
+        """
         settings = self.settings
+        perf = performance_cost(self.source, candidate, settings,
+                                self.latency_model)
 
         # Test-case execution (cheap pruning before any static analysis).
-        candidate_outputs = self.tests.run_candidate(candidate)
-        source_outputs = self.tests.source_outputs
-        tests_pass = all(
-            s.observable() == c.observable()
-            for s, c in zip(source_outputs, candidate_outputs))
+        tally = self._run_suite(candidate, perf, draw)
+        tests_pass = not tally.diverged
 
         # Safety checking (§6).  With ``lazy_safety`` the full static analysis
         # only runs for candidates that survive the test suite: candidates
@@ -286,6 +312,7 @@ class MarkovChain:
         # Formal equivalence checking only when every test passes (§3.2) and
         # the candidate is structurally sound enough to encode.
         unequal = 1
+        error = None
         if tests_pass and (safety_result is None or safety_result.safe):
             equivalence = self._check_equivalence(candidate)
             unequal = 0 if equivalence.equivalent else 1
@@ -294,18 +321,60 @@ class MarkovChain:
                     self.stats.counterexamples_added += 1
                     self.discovered_counterexamples.append(
                         equivalence.counterexample)
+                    # Re-count over the grown suite.
                     candidate_outputs = self.tests.run_candidate(candidate)
-                    source_outputs = self.tests.source_outputs
+                    error = error_cost(self.tests.source_outputs,
+                                       candidate_outputs, settings, unequal)
             if equivalence.equivalent and safety_result is not None \
                     and safety_result.safe:
                 self._record_verified(candidate, started)
         else:
             self.stats.test_failures += 1
 
-        error = error_cost(source_outputs, candidate_outputs, settings, unequal)
-        perf = performance_cost(self.source, candidate, settings,
-                                self.latency_model)
+        if self._lost(tally, perf, draw):
+            self.stats.tests_skipped += tally.num_tests - tally.seen
+            return None, unequal
+        if error is None:
+            error = tally.cost(unequal)
         return total_cost(error, perf, safe_cost, settings), unequal
+
+    def _run_suite(self, candidate: BpfProgram, perf: float,
+                   draw: Optional[float]) -> ErrorTally:
+        """Run the suite on ``candidate``, tallying err(p) in suite order.
+
+        With a ``draw`` the run stops once :meth:`_lost` holds.
+        """
+        suite = self.tests
+        # Source results first: the candidate's stop predicate reads them
+        # while the engine is busy.
+        source_outputs = suite.source_outputs
+        observables = suite.source_observables
+        tally = ErrorTally(self.settings, len(suite))
+
+        def stop(index, output):
+            tally.add(source_outputs[index], output, observables[index])
+            return tally.diverged and self._lost(tally, perf, draw)
+
+        suite.run_candidate(candidate, stop=stop)
+        return tally
+
+    def _lost(self, tally: ErrorTally, perf: float,
+              draw: Optional[float]) -> bool:
+        """Whether the step is lost whatever the untallied tests give.
+
+        After a divergence the candidate fails the suite, so ``unequal`` is
+        1 and the safety cost is 0 or more: the tally's cost with ``perf``
+        and no safety term bounds the full cost from below, and a draw that
+        this bound already rejects rejects the full cost too.  The bound
+        needs non-negative error and safety weights; with ``beta_anneal``
+        at 0 or below every step accepts.
+        """
+        settings = self.settings
+        if draw is None or not tally.diverged or self.beta_anneal <= 0 \
+                or settings.alpha < 0 or settings.gamma < 0:
+            return False
+        bound = total_cost(tally.cost(1), perf, 0.0, settings)
+        return draw >= self._accept_probability(bound) * (1.0 + _STOP_MARGIN)
 
     # ------------------------------------------------------------------ #
     def _check_equivalence(self, candidate: BpfProgram) -> EquivalenceResult:

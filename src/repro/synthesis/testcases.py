@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from ..bpf.hooks import CtxFieldKind
 from ..bpf.program import BpfProgram
 from ..engine import create_engine
-from ..interpreter import ProgramInput, ProgramOutput
+from ..interpreter import ProgramInput, ProgramOutput, StopPredicate
 
 __all__ = ["TestCaseGenerator", "TestSuite"]
 
@@ -109,18 +109,34 @@ class TestSuite:
         self.tests: List[ProgramInput] = self.generator.generate(num_initial)
         self._seen = {test.freeze_key() for test in self.tests}
         self._source_outputs: Optional[List[ProgramOutput]] = None
+        self._source_observables: List[tuple] = []
 
     # ------------------------------------------------------------------ #
     @property
     def source_outputs(self) -> List[ProgramOutput]:
+        self._refresh_source()
+        return self._source_outputs
+
+    @property
+    def source_observables(self) -> List[tuple]:
+        """``observable()`` of each source output, cached alongside them."""
+        self._refresh_source()
+        return self._source_observables
+
+    def _refresh_source(self) -> None:
         if self._source_outputs is None or \
                 len(self._source_outputs) != len(self.tests):
             self._source_outputs = self.engine.run_batch(self.source,
                                                          self.tests)
-        return self._source_outputs
+            self._source_observables = [output.observable()
+                                        for output in self._source_outputs]
 
-    def run_candidate(self, candidate: BpfProgram) -> List[ProgramOutput]:
-        return self.engine.run_batch(candidate, self.tests)
+    def run_candidate(self, candidate: BpfProgram,
+                      stop: Optional[StopPredicate] = None
+                      ) -> List[ProgramOutput]:
+        """The candidate's outputs on the suite, in order; ``stop`` is the
+        engine's early exit (see ``run_batch``)."""
+        return self.engine.run_batch(candidate, self.tests, stop=stop)
 
     def add_counterexample(self, test: ProgramInput) -> bool:
         """Add a counterexample returned by a checker; dedup by content."""

@@ -1,20 +1,20 @@
 """Property tests for vectorized batch replay (``run_batch``).
 
 ``run_batch`` is the replay stage's hot path: one decode, one machine, a
-batch of pooled tests, with two early exits — ``stop_on_first_fault`` and
-the ``expected``-divergence exit the verification pipeline uses to pinpoint
-a refuting counterexample.  The contract, for every engine kind, is that a
-batched run is indistinguishable from N sequential :meth:`run` calls:
+batch of pooled tests, with one early exit — a ``stop(index, output)``
+predicate, which the verification pipeline uses to pinpoint a refuting
+counterexample.  The contract, for every engine kind, is that a batched run
+is indistinguishable from N sequential :meth:`run` calls:
 
 * identical output fingerprints (return value, packet, maps, fault kind
   and text, step count, estimated nanoseconds) in identical order;
-* ``stop_on_first_fault`` returns exactly the prefix up to and including
-  the first faulting output;
-* ``expected=`` returns exactly the prefix up to and including the first
-  output whose ``observable()`` diverges from the aligned reference, so
-  ``len(result) - 1`` is the refuting index; ``expected_observables=``
-  (the reference's precomputed ``observable()`` tuples, the form the
-  replay stage passes) returns the same prefix.
+* stopping on a fault returns exactly the prefix up to and including the
+  first faulting output;
+* stopping on divergence from the aligned reference outputs returns
+  exactly the prefix up to and including the first output whose
+  ``observable()`` differs, so ``len(result) - 1`` is the refuting index;
+  stopping against the reference's precomputed ``observable()`` tuples
+  (the form the replay stage passes) returns the same prefix.
 
 Hypothesis drives the candidate shapes (proposal-mutation chains over
 corpus programs) and the batch shapes (sizes, duplicate tests, early-exit
@@ -88,8 +88,8 @@ class TestBatchEqualsSequential:
         tests = _tests(program, size, seed)
         sequential = [create_engine(kind).run(program, test)
                       for test in tests]
-        truncated = create_engine(kind).run_batch(program, tests,
-                                                  stop_on_first_fault=True)
+        truncated = create_engine(kind).run_batch(
+            program, tests, stop=lambda index, output: output.fault is not None)
         faults = [index for index, output in enumerate(sequential)
                   if output.fault is not None]
         expected_len = faults[0] + 1 if faults else len(tests)
@@ -114,11 +114,13 @@ class TestBatchEqualsSequential:
         expected = engine.run_batch(source, tests)
         sequential = [create_engine(kind).run(candidate, test)
                       for test in tests]
-        got = create_engine(kind).run_batch(candidate, tests,
-                                            expected=expected)
+        got = create_engine(kind).run_batch(
+            candidate, tests, stop=lambda index, output:
+                output.observable() != expected[index].observable())
+        observables = [o.observable() for o in expected]
         got_by_observable = create_engine(kind).run_batch(
-            candidate, tests,
-            expected_observables=[o.observable() for o in expected])
+            candidate, tests, stop=lambda index, output:
+                output.observable() != observables[index])
         assert [output_fingerprint(o) for o in got_by_observable] == \
             [output_fingerprint(o) for o in got]
         diverging = [index for index, (a, b) in

@@ -1,8 +1,9 @@
 """Early exits of the default engine's ``run_batch`` against sequential runs.
 
-The replay stage hands ``run_batch`` the source program's precomputed
-``observable()`` tuples; the engine must stop at the first diverging test
-and return exactly what the legacy interpreter returns for the same call.
+The replay stage hands ``run_batch`` a ``stop`` predicate over the source
+program's precomputed ``observable()`` tuples; the engine must stop at the
+first diverging test and return exactly what the legacy interpreter returns
+for the same call.
 """
 
 from repro.bpf import assemble
@@ -28,10 +29,13 @@ class TestAdaptiveReplay:
         tests = InputGenerator(source, seed=3).generate(10)
         observables = [o.observable()
                        for o in Interpreter().run_batch(source, tests)]
-        sequential = Interpreter().run_batch(
-            candidate, tests, expected_observables=observables)
+
+        def diverged(index, output):
+            return output.observable() != observables[index]
+
+        sequential = Interpreter().run_batch(candidate, tests, stop=diverged)
         fused = FusedEngine(promote_after=1).run_batch(
-            candidate, tests, expected_observables=observables)
+            candidate, tests, stop=diverged)
         assert len(fused) == len(sequential)
         for a, b in zip(sequential, fused):
             assert output_fingerprint(a) == output_fingerprint(b)

@@ -141,13 +141,15 @@ class TestStepLimitBoundaries:
         # Sweeping the limit across every instruction boundary exercises the
         # fused entry guard (steps + trace length > limit) and the careful
         # per-instruction replay it diverts to, including limits that land
-        # mid-trace.
-        program = get_benchmark("xdp_exception").program()
-        tests = InputGenerator(program, seed=13).generate(3)
-        baseline = Interpreter().run_batch(program, tests)
-        steps_needed = max(output.steps for output in baseline)
-        for limit in list(range(1, steps_needed + 2)):
-            assert_three_way_identical(program, tests, step_limit=limit)
+        # mid-trace.  ``xdp2`` writes the packet, so its sweep also covers
+        # packet stores replayed by the careful path.
+        for name in ("xdp_exception", "xdp2"):
+            program = get_benchmark(name).program()
+            tests = InputGenerator(program, seed=13).generate(3)
+            baseline = Interpreter().run_batch(program, tests)
+            steps_needed = max(output.steps for output in baseline)
+            for limit in list(range(1, steps_needed + 2)):
+                assert_three_way_identical(program, tests, step_limit=limit)
 
     def test_infinite_loop_limit_fault_identical(self):
         looping = prog("ja -1\nexit")
