@@ -44,22 +44,19 @@ def run_search(benchmark_name: str,
                settings: Optional[List[ParameterSetting]] = None,
                num_workers: int = 1,
                executor: str = "auto",
-               sync_interval: Optional[int] = None,
-               engine: str = "decoded"):
+               sync_interval: Optional[int] = None):
     """Run the K2 search on one corpus benchmark and return (source, result).
 
     ``num_workers``/``executor``/``sync_interval`` select the parallel
     engine's dispatch backend and cross-chain sharing cadence; the defaults
-    keep the benches sequential and deterministic.  ``engine`` picks the
-    candidate execution engine (``decoded``/``legacy``); results are
-    bit-identical either way.
+    keep the benches sequential and deterministic.
     """
     source = get_benchmark(benchmark_name).program()
     config = K2Config(
         goal="latency" if goal == OptimizationGoal.LATENCY else "size",
         iterations=iterations, settings=num_settings, seed=seed,
         num_workers=num_workers, executor=executor,
-        sync_interval=sync_interval, engine=engine)
+        sync_interval=sync_interval)
     result = config.compiler().optimize(source, settings=settings)
     return source, result
 

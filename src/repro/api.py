@@ -16,7 +16,10 @@ module, with one typed :class:`K2Config` replacing the historical
 ``K2Config`` fields mirror the CLI flags one-for-one (``--sync-interval``
 is ``sync_interval`` and so on), so anything expressible on the command
 line is expressible here with the same names and defaults — the CLI
-itself is built on this module, which keeps the two from drifting.
+itself is built on this module, and ``tests/test_cli.py`` checks that
+every field is a ``k2 optimize`` or ``k2 submit`` flag and every search
+flag a field, which keeps the two from drifting.  There is no engine
+option: every search runs on the fused execution engine.
 
 Compatibility: the pre-facade keyword constructor of ``K2Compiler``
 (``goal=``, ``iterations_per_chain=`` and the rest) is gone after its one
@@ -33,9 +36,8 @@ from typing import Iterator, List, Optional
 from .bpf import BpfProgram, HookType, assemble, get_hook
 from .bpf.maps import MapEnvironment
 from .core import CompilationResult, K2Compiler, OptimizationGoal
-from .engine import DEFAULT_ENGINE_KIND
 from .equivalence import EquivalenceOptions
-from .synthesis import SearchOptions
+from .synthesis import GOALS, SearchOptions, validate_request
 
 __all__ = ["K2Config", "optimize", "submit", "watch", "wait",
            "store_stats", "serve", "load_program", "benchmark_program"]
@@ -48,8 +50,10 @@ class K2Config:
     Field names, meanings and defaults mirror the ``k2 optimize`` /
     ``k2 submit`` flags exactly; see ``k2 optimize --help`` for the long
     documentation of each.  The service-only fields (``priority``,
-    ``shards``, ``share_cache``/``share_counterexamples``) are ignored by
-    the in-process :func:`optimize` and consumed by :func:`submit`.
+    ``shards``) are ignored by the in-process :func:`optimize` and
+    consumed by :func:`submit`.  :meth:`validate` applies the rules a
+    :class:`~repro.service.JobSpec` is held to as well
+    (:func:`repro.synthesis.validate_request`).
     """
 
     # Search shape (``k2 optimize`` flags).
@@ -60,16 +64,12 @@ class K2Config:
     num_workers: int = 1
     executor: str = "auto"
     sync_interval: Optional[int] = None
-    engine: str = DEFAULT_ENGINE_KIND
     windowed: bool = False
     window_size: int = 24
     window_overlap: int = 8
     store: Optional[str] = None
     conflict_budget: Optional[int] = None
     verify_pipeline: Optional[str] = None
-    # Result shaping (library-only; no CLI flag changes these today).
-    top_k: Optional[int] = None
-    time_budget_seconds: Optional[float] = None
     # Service-side scheduling (``k2 submit`` flags).
     priority: int = 0
     shards: int = 1
@@ -78,20 +78,9 @@ class K2Config:
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        if self.goal not in ("size", "latency"):
-            raise ValueError("goal must be 'size' or 'latency'")
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
-        if self.settings <= 0:
-            raise ValueError("settings must be positive")
-        if self.window_size < 2 or not \
-                0 <= self.window_overlap < self.window_size:
-            raise ValueError("window_size must be >= 2 and window_overlap "
-                             "must be >= 0 and smaller than window_size")
-        if self.conflict_budget is not None and self.conflict_budget <= 0:
-            raise ValueError("conflict_budget must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        validate_request(self)
+        if self.verify_pipeline is not None:
+            EquivalenceOptions.from_stages(self.verify_pipeline)
 
     # ------------------------------------------------------------------ #
     def equivalence_options(self) -> EquivalenceOptions:
@@ -105,21 +94,17 @@ class K2Config:
     def search_options(self) -> SearchOptions:
         """The fully-resolved library options this config denotes."""
         self.validate()
-        goal = OptimizationGoal.LATENCY if self.goal == "latency" \
-            else OptimizationGoal.INSTRUCTION_COUNT
+        goal = GOALS[self.goal]
         return SearchOptions(
             goal=goal,
             iterations_per_chain=int(self.iterations),
             num_parameter_settings=int(self.settings),
-            top_k=self.top_k if self.top_k is not None else (
-                1 if goal == OptimizationGoal.INSTRUCTION_COUNT else 5),
+            top_k=1 if goal == OptimizationGoal.INSTRUCTION_COUNT else 5,
             seed=int(self.seed),
-            time_budget_seconds=self.time_budget_seconds,
             num_workers=int(self.num_workers),
             executor=self.executor,
             sync_interval=self.sync_interval,
             equivalence=self.equivalence_options(),
-            engine=self.engine,
             window_mode=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),
@@ -151,7 +136,6 @@ class K2Config:
             settings=int(self.settings), seed=int(self.seed),
             sync_interval=sync_interval,
             num_workers=int(self.num_workers), executor=self.executor,
-            engine=self.engine,
             windowed=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),

@@ -3,7 +3,6 @@
 Examples::
 
     k2 optimize program.s --hook xdp --iterations 2000
-    k2 optimize --benchmark xdp_pktcntr --engine decoded  # engine ablation
     k2 optimize --benchmark sys_enter_wide --conflict-budget 50000  # query deadline
     k2 optimize --benchmark xdp_pktcntr --store verdicts.k2s  # warm start
     k2 check program.s --hook xdp
@@ -33,47 +32,32 @@ resume when the daemon restarts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
 
 from . import api
 from .bpf import HookType
-from .engine import DEFAULT_ENGINE_KIND, ENGINE_KINDS
-from .equivalence import EquivalenceOptions
 from .corpus import all_benchmarks
 from .safety import SafetyChecker
+from .synthesis import EXECUTOR_KINDS, GOALS
 from .verifier import KernelChecker
 
-__all__ = ["main"]
-
-ENGINE_HELP = ("candidate execution engine: 'fused' compiles each basic "
-               "block into one superinstruction, 'decoded' runs pre-decoded "
-               "micro-ops with a decode cache and reusable machine state, "
-               "'legacy' is the reference per-step interpreter; all three "
-               "produce bit-identical results, only throughput differs "
-               "(default: %(default)s)")
+__all__ = ["build_parser", "main"]
 
 
 def _search_config(args: argparse.Namespace) -> api.K2Config:
     """The :class:`~repro.api.K2Config` a flag namespace denotes.
 
-    The CLI is a thin shell over :mod:`repro.api`: flags map onto config
-    fields one-for-one, so this is a straight transcription plus the few
-    flags that only exist on some subcommands.
+    The CLI is a thin shell over :mod:`repro.api`: every config field is
+    the dest of a ``k2 optimize`` or ``k2 submit`` flag of the same name,
+    so this is a straight transcription of the fields the subcommand has.
     """
-    config = api.K2Config(
-        goal=args.goal, iterations=args.iterations, settings=args.settings,
-        seed=args.seed, num_workers=args.num_workers, executor=args.executor,
-        sync_interval=args.sync_interval, engine=args.engine,
-        windowed=args.windowed,
-        window_size=args.window_size, window_overlap=args.window_overlap,
-        conflict_budget=args.conflict_budget)
-    for flag in ("store", "verify_pipeline", "priority", "shards",
-                 "share_cache", "share_counterexamples"):
-        if hasattr(args, flag):
-            setattr(config, flag, getattr(args, flag))
-    return config
+    return api.K2Config(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(api.K2Config)
+        if hasattr(args, field.name)})
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -243,7 +227,8 @@ def _add_state_arg(parser: argparse.ArgumentParser) -> None:
                              "(default: %(default)s)")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``k2`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="k2", description="K2: synthesize safe and efficient BPF bytecode")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,7 +242,7 @@ def main(argv=None) -> int:
                           choices=[h.value for h in HookType],
                           help="BPF hook the program attaches to "
                                "(default: %(default)s)")
-    optimize.add_argument("--goal", default="size", choices=["size", "latency"],
+    optimize.add_argument("--goal", default="size", choices=list(GOALS),
                           help="optimize for fewer instructions (size) or for "
                                "estimated latency (default: %(default)s)")
     optimize.add_argument("--iterations", type=int, default=2000,
@@ -275,7 +260,7 @@ def main(argv=None) -> int:
                                "1 keeps the search in-process and sequential "
                                "(default: %(default)s)")
     optimize.add_argument("--executor", default="auto",
-                          choices=["auto", "serial", "process", "thread"],
+                          choices=list(EXECUTOR_KINDS),
                           help="executor backend for dispatching chains: auto "
                                "picks a process pool when --num-workers > 1 "
                                "and the deterministic serial executor "
@@ -286,8 +271,6 @@ def main(argv=None) -> int:
                                "(equivalence-cache entries and "
                                "counterexamples); omit to run each chain to "
                                "completion without mid-run sharing")
-    optimize.add_argument("--engine", default=DEFAULT_ENGINE_KIND,
-                          choices=list(ENGINE_KINDS), help=ENGINE_HELP)
     optimize.add_argument("--windowed", action="store_true",
                           help="windowed segment synthesis: slice the program "
                                "into overlapping windows, search each window "
@@ -384,8 +367,7 @@ def main(argv=None) -> int:
                         help="submit a corpus benchmark instead of a file")
     submit.add_argument("--hook", default="xdp",
                         choices=[h.value for h in HookType])
-    submit.add_argument("--goal", default="size",
-                        choices=["size", "latency"])
+    submit.add_argument("--goal", default="size", choices=list(GOALS))
     submit.add_argument("--iterations", type=int, default=2000, metavar="N")
     submit.add_argument("--settings", type=int, default=4, metavar="K")
     submit.add_argument("--seed", type=int, default=0, metavar="SEED")
@@ -396,9 +378,7 @@ def main(argv=None) -> int:
                              "crash can lose (default: %(default)s)")
     submit.add_argument("--num-workers", type=int, default=1, metavar="N")
     submit.add_argument("--executor", default="auto",
-                        choices=["auto", "serial", "process", "thread"])
-    submit.add_argument("--engine", default=DEFAULT_ENGINE_KIND,
-                        choices=list(ENGINE_KINDS), help=ENGINE_HELP)
+                        choices=list(EXECUTOR_KINDS))
     submit.add_argument("--windowed", action="store_true")
     submit.add_argument("--window-size", type=int, default=24, metavar="N")
     submit.add_argument("--window-overlap", type=int, default=8, metavar="N")
@@ -465,19 +445,18 @@ def main(argv=None) -> int:
         "shutdown", help="ask the daemon to shut down gracefully")
     _add_state_arg(shutdown)
     shutdown.set_defaults(func=_cmd_shutdown)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("optimize", "check", "submit") and not args.program \
             and not args.benchmark:
         parser.error("provide a program file or --benchmark NAME")
-    if args.command in ("optimize", "submit") and (
-            args.window_size < 2
-            or not 0 <= args.window_overlap < args.window_size):
-        parser.error("--window-size must be >= 2 and --window-overlap must "
-                     "be >= 0 and smaller than --window-size")
-    if args.command == "optimize" and args.verify_pipeline is not None:
+    if args.command in ("optimize", "submit"):
         try:
-            EquivalenceOptions.from_stages(args.verify_pipeline)
+            _search_config(args).validate()
         except ValueError as exc:
             parser.error(str(exc))
     return _dispatch(args)

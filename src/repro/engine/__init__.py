@@ -12,20 +12,19 @@ The package splits execution into four layers:
   place between test cases, with per-test reset images backing the batched
   replay fast path;
 * :mod:`repro.engine.engine` — the :class:`ExecutionEngine` /
-  :class:`FusedEngine` run loops, the batched ``run_batch`` API and the
-  :func:`create_engine` factory behind the ``--engine
-  fused|decoded|legacy`` ablation knob.
+  :class:`FusedEngine` run loops and the batched ``run_batch`` API.
 
-The stack is legacy (the :class:`repro.interpreter.Interpreter` oracle) →
-decoded → fused.  Outputs are bit-identical across all engine kinds; the
-engines only change *when* dispatch and allocation work happens.
+Every search, test suite, verification pipeline and perf rig runs on
+:class:`FusedEngine`; :class:`ExecutionEngine` is its decoded tier (the
+fallback for programs the CFG builder rejects, and for programs not yet
+promoted) and base class.  The :class:`repro.interpreter.Interpreter` is
+the behavioural oracle the differential tests compare both against.
+Outputs are bit-identical across all three; the engines only change
+*when* dispatch and allocation work happens.
 """
 
 from .decode import DecodedProgram, MicroOp, ProgramDecoder, compile_instruction
-from .engine import (
-    DEFAULT_ENGINE_KIND, ENGINE_KINDS, ExecutionEngine, FusedEngine,
-    create_engine,
-)
+from .engine import ExecutionEngine, FusedEngine
 from .fuse import FusedDecoder, FusedProgram
 from .machine import ResettableMachine
 
@@ -37,6 +36,6 @@ BatchedEngine = FusedEngine
 
 __all__ = [
     "DecodedProgram", "MicroOp", "ProgramDecoder", "compile_instruction",
-    "DEFAULT_ENGINE_KIND", "ENGINE_KINDS", "ExecutionEngine", "FusedEngine",
-    "create_engine", "FusedDecoder", "FusedProgram", "ResettableMachine",
+    "ExecutionEngine", "FusedEngine", "FusedDecoder", "FusedProgram",
+    "ResettableMachine",
 ]

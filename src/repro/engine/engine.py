@@ -17,9 +17,10 @@ them out of the loop:
 whole test suite, which is the shape of every hot-loop consumer (the MCMC
 accept/reject step, the verification pipeline's replay stage, the perf rig).
 
-:func:`create_engine` builds an engine for the ``--engine
-fused|decoded|legacy`` ablation knob; every kind exposes the same ``run`` /
-``run_batch`` surface.
+:class:`FusedEngine` is the engine every consumer builds;
+:class:`ExecutionEngine` is its decoded tier and base class.  Both, and
+the legacy interpreter, expose the same ``run`` / ``run_batch`` surface,
+so any of them can be passed wherever an engine instance is accepted.
 """
 
 from __future__ import annotations
@@ -33,20 +34,13 @@ from ..interpreter.errors import (
     InstructionLimitExceeded,
     InvalidJumpTarget,
 )
-from ..interpreter.interpreter import (
-    DEFAULT_STEP_LIMIT, Interpreter, StopPredicate,
-)
+from ..interpreter.interpreter import DEFAULT_STEP_LIMIT, StopPredicate
 from ..interpreter.state import PACKET_HEADROOM, ProgramInput, ProgramOutput
 from .decode import DecodedProgram, ProgramDecoder
 from .fuse import FusedDecoder, FusedProgram
 from .machine import ResettableMachine
 
-__all__ = ["ExecutionEngine", "FusedEngine", "create_engine", "ENGINE_KINDS",
-           "DEFAULT_ENGINE_KIND"]
-
-#: Engine kinds accepted by :func:`create_engine` and the CLI ``--engine``.
-ENGINE_KINDS = ("fused", "decoded", "legacy")
-DEFAULT_ENGINE_KIND = "fused"
+__all__ = ["ExecutionEngine", "FusedEngine"]
 
 
 class ExecutionEngine:
@@ -68,8 +62,6 @@ class ExecutionEngine:
             stack bytes (compiled into the micro-ops).
         decode_cache_size: LRU capacity of the whole-program decode cache.
     """
-
-    kind = "decoded"
 
     #: Decoder factory; the fused subclass swaps in its block compiler.
     _decoder_class = ProgramDecoder
@@ -238,7 +230,6 @@ class FusedEngine(ExecutionEngine):
     Pass ``1`` to compile eagerly (the pre-promotion behaviour).
     """
 
-    kind = "fused"
     _decoder_class = FusedDecoder
 
     def __init__(self, step_limit: int = DEFAULT_STEP_LIMIT,
@@ -320,35 +311,3 @@ class FusedEngine(ExecutionEngine):
         return ProgramOutput(return_value, packet,
                              machine.snapshot_maps_dirty(), fault_text,
                              steps, estimated)
-
-
-def create_engine(kind: Optional[str] = None,
-                  step_limit: int = DEFAULT_STEP_LIMIT,
-                  opcode_cost_fn: Optional[Callable[[Instruction], float]] = None,
-                  strict_uninitialized: bool = True,
-                  decode_cache_size: int = 512):
-    """Build an execution engine for the ``--engine fused|decoded|legacy``
-    knob.
-
-    ``None`` selects :data:`DEFAULT_ENGINE_KIND`, the fused engine;
-    ``"decoded"`` and ``"legacy"`` remain as ablation baselines (the
-    throughput bench gates each tier against the one below).
-    """
-    if kind is None:
-        kind = DEFAULT_ENGINE_KIND
-    if kind == "fused":
-        return FusedEngine(step_limit=step_limit,
-                           opcode_cost_fn=opcode_cost_fn,
-                           strict_uninitialized=strict_uninitialized,
-                           decode_cache_size=decode_cache_size)
-    if kind == "decoded":
-        return ExecutionEngine(step_limit=step_limit,
-                               opcode_cost_fn=opcode_cost_fn,
-                               strict_uninitialized=strict_uninitialized,
-                               decode_cache_size=decode_cache_size)
-    if kind == "legacy":
-        return Interpreter(step_limit=step_limit,
-                           opcode_cost_fn=opcode_cost_fn,
-                           strict_uninitialized=strict_uninitialized)
-    raise ValueError(
-        f"unknown engine kind {kind!r}; choose from {ENGINE_KINDS}")

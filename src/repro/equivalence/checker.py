@@ -42,6 +42,11 @@ from .symbolic import ImpreciseEncodingError, SymbolicExecutor, SymbolicResult
 
 __all__ = ["EquivalenceOptions", "EquivalenceResult", "EquivalenceChecker"]
 
+#: Clause-database size at which a checker (this module's and the window
+#: checker) retires its incremental solver session and starts a fresh one,
+#: which bounds long-run memory.
+MAX_SESSION_CLAUSES = 250_000
+
 
 @dataclasses.dataclass
 class EquivalenceOptions:
@@ -74,9 +79,6 @@ class EquivalenceOptions:
     full_symbolic: bool = True
     #: Conflict budget handed to the SAT solver per query.
     max_conflicts: int = 2_000_000
-    #: Clause-database size at which a checker retires its incremental
-    #: solver session and starts a fresh one (bounds long-run memory).
-    max_session_clauses: int = 250_000
 
     #: Pipeline stage order, mapped to the toggle controlling each stage.
     STAGE_TOGGLES = (("replay", "interpreter_replay"),
@@ -182,7 +184,7 @@ class EquivalenceChecker:
         session = self._session
         if session is not None and (
                 session.source_key != source.structural_key()
-                or session.solver.num_clauses > self.options.max_session_clauses):
+                or session.solver.num_clauses > MAX_SESSION_CLAUSES):
             session = None
         if session is None:
             session = _CheckerSession(source, self.options)

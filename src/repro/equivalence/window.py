@@ -34,7 +34,9 @@ from ..bpf.regions import MemRegion
 from ..smt import (
     CheckResult, Expr, Solver, bool_or, bv_add, bv_const, bv_eq, bv_ne, bv_var,
 )
-from .checker import EquivalenceOptions, EquivalenceResult
+from .checker import (
+    MAX_SESSION_CLAUSES, EquivalenceOptions, EquivalenceResult,
+)
 from .memory_model import SymbolicInputs
 from .symbolic import ImpreciseEncodingError, SymbolicExecutor
 
@@ -136,7 +138,7 @@ class WindowEquivalenceChecker:
         session = self._session
         if session is not None and (
                 session.source_key != source.structural_key()
-                or session.solver.num_clauses > self.options.max_session_clauses):
+                or session.solver.num_clauses > MAX_SESSION_CLAUSES):
             session = None
         if session is None:
             session = _WindowSession(source, self.options)

@@ -54,9 +54,9 @@ class Interpreter:
     This is the reference ("legacy") execution engine: it re-dispatches on the
     instruction's opcode properties at every step.  The decode-once engine in
     :mod:`repro.engine` is the hot-loop implementation; this class remains the
-    behavioural oracle (differential tests compare the two bit-for-bit) and
-    the ``--engine legacy`` ablation target, and it exposes the same
-    ``run`` / ``run_batch`` surface so the two are interchangeable.
+    behavioural oracle (differential tests compare the two bit-for-bit), and
+    it exposes the same ``run`` / ``run_batch`` surface so an instance can
+    stand in wherever an engine instance is accepted.
 
     Args:
         step_limit: dynamic instruction budget (protects against looping
@@ -70,8 +70,6 @@ class Interpreter:
             when False such reads return zero (useful for differential
             testing of the symbolic encoder).
     """
-
-    kind = "legacy"
 
     def __init__(self, step_limit: int = _DEFAULT_STEP_LIMIT,
                  opcode_cost_fn: Optional[Callable[[Instruction], float]] = None,
@@ -107,9 +105,9 @@ class Interpreter:
         """Execute ``program`` on every test, in order.
 
         Mirrors :meth:`repro.engine.ExecutionEngine.run_batch` so the legacy
-        interpreter can stand in for the decoded engine in ablations: the
-        batch ends after the first output for which ``stop(index, output)``
-        returns true (that output is included in the returned list).
+        interpreter can stand in for an engine instance: the batch ends
+        after the first output for which ``stop(index, output)`` returns
+        true (that output is included in the returned list).
         """
         outputs: List[ProgramOutput] = []
         for index, test in enumerate(tests):

@@ -8,8 +8,8 @@ that methodology in simulation:
 * :class:`TrafficGenerator` produces a pool of representative packets
   (64-byte frames by default, per the paper's methodology),
 * :class:`DeviceUnderTest` executes the BPF program on each packet through
-  the interpreter and charges it the per-opcode latency model plus a fixed
-  per-packet driver/NIC overhead,
+  the execution engine and charges it the per-opcode latency model plus a
+  fixed per-packet driver/NIC overhead,
 * :class:`BenchmarkRig` runs an open-loop single-core queueing simulation
   with a finite RX descriptor ring, sweeping the offered load to find the
   MLFFR (RFC 2544 style) and recording average latency and drop rate at any
@@ -27,7 +27,7 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from ..bpf.program import BpfProgram
-from ..engine import create_engine
+from ..engine import FusedEngine
 from ..interpreter import ProgramInput
 from ..synthesis.testcases import TestCaseGenerator
 from .latency_model import DEFAULT_LATENCY_MODEL, OpcodeLatencyModel
@@ -71,16 +71,15 @@ class DeviceUnderTest:
 
     def __init__(self, program: BpfProgram,
                  latency_model: OpcodeLatencyModel = DEFAULT_LATENCY_MODEL,
-                 per_packet_overhead_ns: float = _PER_PACKET_OVERHEAD_NS,
-                 engine: str = "decoded"):
+                 per_packet_overhead_ns: float = _PER_PACKET_OVERHEAD_NS):
         self.program = program
         self.latency_model = latency_model
         self.per_packet_overhead_ns = per_packet_overhead_ns
         # One long-lived engine per DUT: the program is decoded once and the
         # per-opcode cost table folded into the decoded form, then reused
         # for every packet of every load sweep.
-        self._engine = create_engine(
-            engine, opcode_cost_fn=latency_model.instruction_cost)
+        self._engine = FusedEngine(
+            opcode_cost_fn=latency_model.instruction_cost)
 
     def service_times_ns(self, traffic: Sequence[ProgramInput]) -> List[float]:
         """Per-packet service times (program execution + fixed overhead)."""
@@ -110,12 +109,11 @@ class BenchmarkRig:
                  latency_model: OpcodeLatencyModel = DEFAULT_LATENCY_MODEL,
                  packet_size: int = 64, pool_size: int = 96,
                  packets_per_trial: int = 20_000, seed: int = 7,
-                 rx_ring_size: int = _RX_RING_SIZE,
-                 engine: str = "decoded"):
+                 rx_ring_size: int = _RX_RING_SIZE):
         self.program = program
         self.traffic = TrafficGenerator(program, packet_size=packet_size,
                                         pool_size=pool_size, seed=seed)
-        self.dut = DeviceUnderTest(program, latency_model, engine=engine)
+        self.dut = DeviceUnderTest(program, latency_model)
         self.packets_per_trial = packets_per_trial
         self.rx_ring_size = rx_ring_size
         self._service_pool = self.dut.service_times_ns(self.traffic.pool)

@@ -27,10 +27,8 @@ from typing import Dict, List, Optional
 from ..bpf import BpfProgram, HookType, assemble, get_hook
 from ..bpf.maps import MapEnvironment
 from ..corpus import get_benchmark
-from ..engine import DEFAULT_ENGINE_KIND
 from ..equivalence import EquivalenceOptions
-from ..synthesis import SearchOptions
-from ..synthesis.cost import PerformanceGoal
+from ..synthesis import GOALS, SearchOptions, validate_request
 
 __all__ = ["JOB_STATES", "JobSpec", "Job", "JobQueue"]
 
@@ -57,7 +55,6 @@ class JobSpec:
     sync_interval: Optional[int] = 250
     num_workers: int = 1
     executor: str = "auto"
-    engine: str = DEFAULT_ENGINE_KIND
     windowed: bool = False
     window_size: int = 24
     window_overlap: int = 8
@@ -87,14 +84,7 @@ class JobSpec:
     def validate(self) -> None:
         if not self.benchmark and not self.program_text:
             raise ValueError("job spec needs a benchmark or program_text")
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
-        if self.settings <= 0:
-            raise ValueError("settings must be positive")
-        if self.conflict_budget is not None and self.conflict_budget <= 0:
-            raise ValueError("conflict_budget must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        validate_request(self)
         if self.shards > 1 and self.windowed:
             # Windows compose sequentially (each search base is the
             # previous window's stitch), so they cannot be farmed out in
@@ -121,17 +111,14 @@ class JobSpec:
         if self.conflict_budget is not None:
             equivalence = dataclasses.replace(
                 equivalence, max_conflicts=int(self.conflict_budget))
-        goal = PerformanceGoal.LATENCY if self.goal == "latency" \
-            else PerformanceGoal.INSTRUCTION_COUNT
         return SearchOptions(
-            goal=goal,
+            goal=GOALS[self.goal],
             iterations_per_chain=int(self.iterations),
             num_parameter_settings=int(self.settings),
             seed=int(self.seed),
             sync_interval=self.sync_interval,
             num_workers=int(self.num_workers),
             executor=self.executor,
-            engine=self.engine,
             window_mode=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),
@@ -148,6 +135,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
+        # Unknown keys are dropped: fields of newer clients, and fields
+        # older specs still carry after their knob was retired (``engine``).
         known = {field.name for field in dataclasses.fields(cls)}
         spec = cls(**{key: value for key, value in data.items()
                       if key in known})

@@ -11,7 +11,9 @@ from .params import (
     best_parameter_settings,
 )
 from .mcmc import ChainResult, ChainStatistics, MarkovChain, VerifiedCandidate
-from .executors import SerialExecutor, create_executor, resolve_executor_kind
+from .executors import (
+    EXECUTOR_KINDS, SerialExecutor, create_executor, resolve_executor_kind,
+)
 from .checkpoint import (
     CHECKPOINT_VERSION, apply_chain_state, build_controller_payload,
     capture_chain_state, decode_chain_state, decode_controller_payload,
@@ -21,7 +23,9 @@ from .parallel import (
     ChainController, ChainWorkUnit, ChainWorkUnitResult, SearchInterrupted,
     run_chain_generation,
 )
-from .search import SearchOptions, SearchResult, Synthesizer
+from .search import (
+    GOALS, SearchOptions, SearchResult, Synthesizer, validate_request,
+)
 from .windows import (
     SegmentWindow, WindowStats, WindowedScheduler, plan_windows, split_budget,
 )

@@ -260,13 +260,11 @@ def options_signature(source, settings, options, proposal_region,
         int(options.seed),
         int(options.iterations_per_chain),
         None if options.sync_interval is None else int(options.sync_interval),
-        int(options.num_initial_tests),
         len(settings),
         bool(options.share_cache),
         bool(options.share_counterexamples),
-        str(getattr(options, "engine", None)),
-        bool(getattr(options, "store_preseed_counterexamples", False)),
-        int(getattr(options, "chain_index_offset", 0)),
+        bool(options.store_preseed_counterexamples),
+        int(options.chain_index_offset),
         None if proposal_region is None else list(proposal_region),
         bool(keep_nops),
         repr(options.equivalence),

@@ -1,7 +1,7 @@
 """Executor backends for the parallel multi-chain search engine.
 
 The controller (:mod:`repro.synthesis.parallel`) dispatches chain work units
-over a :class:`concurrent.futures.Executor`.  Three backends are supported:
+over a :class:`concurrent.futures.Executor`.  Two backends are supported:
 
 ``serial``
     :class:`SerialExecutor` — runs every submission inline, in submission
@@ -13,26 +13,21 @@ over a :class:`concurrent.futures.Executor`.  Three backends are supported:
     worker; the default whenever ``num_workers > 1``.  Work units are
     pickled to the workers and their mutated chains pickled back.
 
-``thread``
-    :class:`concurrent.futures.ThreadPoolExecutor` — useful when pickling
-    overhead dominates or on platforms without ``fork``; the GIL limits the
-    achievable speed-up for this CPU-bound workload.
-
 Because the controller snapshots all shared state at generation boundaries
-(see :mod:`repro.synthesis.parallel`), every backend computes the same
+(see :mod:`repro.synthesis.parallel`), both backends compute the same
 results for the same seed — only wall-clock timing differs.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = ["SerialExecutor", "EXECUTOR_KINDS", "resolve_executor_kind",
            "create_executor"]
 
 #: Accepted values for ``SearchOptions.executor``.
-EXECUTOR_KINDS = ("auto", "serial", "process", "thread")
+EXECUTOR_KINDS = ("auto", "serial", "process")
 
 
 class SerialExecutor(concurrent.futures.Executor):
@@ -84,7 +79,5 @@ def create_executor(kind: str, num_workers: int = 1
     kind = resolve_executor_kind(kind, num_workers)
     if kind == "serial":
         return SerialExecutor()
-    workers: Optional[int] = max(num_workers, 1)
-    if kind == "process":
-        return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    return concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=max(num_workers, 1))

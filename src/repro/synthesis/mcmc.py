@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 
 from ..analysis import AbstractAnalyzer
 from ..bpf.program import BpfProgram
-from ..engine import create_engine
-from ..equivalence import EquivalenceCache, EquivalenceOptions, EquivalenceResult
+from ..engine import FusedEngine
+from ..equivalence import EquivalenceCache, EquivalenceResult
 from ..perf.latency_model import DEFAULT_LATENCY_MODEL, OpcodeLatencyModel
 from ..safety import SafetyChecker
 from ..verification import VerificationPipeline
@@ -120,9 +120,7 @@ class MarkovChain:
                  seed: int = 0,
                  test_suite: Optional[TestSuite] = None,
                  beta_anneal: float = 1.0,
-                 equivalence_options: Optional[EquivalenceOptions] = None,
                  latency_model: OpcodeLatencyModel = DEFAULT_LATENCY_MODEL,
-                 cache: Optional[EquivalenceCache] = None,
                  lazy_safety: bool = True,
                  pipeline: Optional[VerificationPipeline] = None,
                  engine=None,
@@ -141,30 +139,23 @@ class MarkovChain:
         self.keep_nops = keep_nops
         # One long-lived execution engine per chain, shared by the test
         # suite and the verification pipeline's replay stage so the current
-        # program and its proposals are decoded once for both.  ``engine``
-        # accepts an engine kind string (``legacy``/``decoded``) or a ready
-        # engine instance.
-        if engine is None or isinstance(engine, str):
-            engine = create_engine(engine)
+        # program and its proposals are decoded once for both.  Any engine
+        # instance (or the legacy interpreter) may be passed in.
+        if engine is None:
+            engine = FusedEngine()
         self.engine = engine
         self.tests = test_suite or TestSuite(source, seed=seed, engine=engine)
-        # One fused abstract analyzer per chain, shared by the safety
-        # checker and the pipeline's static-safety pre-stage so both hit
-        # one per-block/program memo (the static-analysis analogue of the
-        # shared decode cache above).
-        analyzer = AbstractAnalyzer()
-        self.safety = SafetyChecker(analyzer=analyzer)
         # The verification pipeline owns the equivalence options and the
-        # cache; the ``equivalence_options``/``cache`` kwargs are kept for
-        # backwards compatibility and feed the pipeline it builds.
+        # cache.  One fused abstract analyzer per chain, shared by the
+        # safety checker and the pipeline's static-safety pre-stage so both
+        # hit one per-block/program memo (the static-analysis analogue of
+        # the shared decode cache above); a pipeline built without one
+        # leaves the safety checker its own.
         if pipeline is None:
-            pipeline = VerificationPipeline(
-                options=equivalence_options or EquivalenceOptions(),
-                cache=cache, engine=engine, analyzer=analyzer)
-        elif equivalence_options is not None or cache is not None:
-            raise ValueError("pass either a pipeline or the deprecated "
-                             "equivalence_options/cache kwargs, not both")
+            pipeline = VerificationPipeline(engine=engine,
+                                            analyzer=AbstractAnalyzer())
         self.pipeline = pipeline
+        self.safety = SafetyChecker(analyzer=pipeline.analyzer)
         self.latency_model = latency_model
         self.beta_anneal = beta_anneal
         self.lazy_safety = lazy_safety
@@ -180,12 +171,7 @@ class MarkovChain:
         self._current_cost = self._evaluate(self.source)[0]
 
     # ------------------------------------------------------------------ #
-    # Deprecated accessors, delegating to the pipeline (single options
-    # object; see EquivalenceOptions docstring).
-    @property
-    def equivalence_options(self) -> EquivalenceOptions:
-        return self.pipeline.options
-
+    # Accessors delegating to the pipeline.
     @property
     def cache(self) -> EquivalenceCache:
         return self.pipeline.cache
@@ -199,9 +185,8 @@ class MarkovChain:
         return self.pipeline.window_checker
 
     # ------------------------------------------------------------------ #
-    def run(self, iterations: int,
-            time_budget_seconds: Optional[float] = None) -> ChainResult:
-        """Run the chain for ``iterations`` proposals (or until the budget).
+    def run(self, iterations: int) -> ChainResult:
+        """Run the chain for ``iterations`` proposals.
 
         ``run`` may be called repeatedly: the chain resumes from its current
         program, RNG state, test suite and cache, and the returned
@@ -210,13 +195,10 @@ class MarkovChain:
         """
         started = time.perf_counter()
         # Solver sessions never cross a generation boundary: process pools
-        # drop them in pickling, so serial and thread runs drop them too —
-        # every backend traverses the same solver history.
+        # drop them in pickling, so serial runs drop them too — every
+        # backend traverses the same solver history.
         self.pipeline.begin_generation()
         for _ in range(iterations):
-            if time_budget_seconds is not None and \
-                    time.perf_counter() - started > time_budget_seconds:
-                break
             self.step(started)
         self.stats.elapsed_seconds += time.perf_counter() - started
         self.stats.generations += 1

@@ -60,13 +60,14 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.analyzer import AnalysisOutcome
+from ..analysis.analyzer import AbstractAnalyzer, AnalysisOutcome
 from ..bpf.program import BpfProgram
-from ..engine import create_engine
+from ..engine import FusedEngine
 from ..equivalence import EquivalenceCache
 from ..equivalence.checker import EquivalenceResult
 from ..interpreter import ProgramInput
 from ..store import VerdictStore
+from ..verification import VerificationPipeline
 from .checkpoint import (
     apply_chain_state, build_controller_payload, decode_controller_payload,
 )
@@ -97,7 +98,6 @@ class ChainWorkUnit:
     chain_index: int
     chain: MarkovChain
     iterations: int
-    time_budget_seconds: Optional[float]
     shared_cache_entries: Dict[Tuple, EquivalenceResult]
     shared_counterexamples: List[ProgramInput]
     #: Analyzer program-memo entries to seed into the worker's analyzer
@@ -146,8 +146,7 @@ def run_chain_generation(unit: ChainWorkUnit) -> ChainWorkUnitResult:
     analyzer = chain.pipeline.analyzer
     if unit.shared_analysis_entries and analyzer is not None:
         analyzer.seed_program_memo(unit.shared_analysis_entries)
-    result = chain.run(unit.iterations,
-                       time_budget_seconds=unit.time_budget_seconds)
+    result = chain.run(unit.iterations)
     analysis_entries = {}
     if unit.export_analysis and analyzer is not None:
         analysis_entries = analyzer.export_program_memo()
@@ -206,7 +205,7 @@ class ChainController:
         #: An explicit instance wins (the windowed scheduler shares one
         #: across its per-window controllers); otherwise built from
         #: ``options.store_path``.
-        if store is None and getattr(options, "store_path", None):
+        if store is None and options.store_path:
             store = VerdictStore(options.store_path)
         self.store = store
         #: Canonical keys preseeded from the store this run (first-dispatch
@@ -289,9 +288,6 @@ class ChainController:
             self._preseed_from_store()
             chains = [self._build_chain(index, setting)
                       for index, setting in enumerate(self.settings)]
-        chain_budget = None
-        if options.time_budget_seconds is not None:
-            chain_budget = options.time_budget_seconds / len(self.settings)
 
         # On resume every chain has completed at least one generation, so
         # its cumulative result is reconstructible from the chain itself —
@@ -319,8 +315,6 @@ class ChainController:
                         chain_index=index,
                         chain=chain,
                         iterations=iterations,
-                        time_budget_seconds=self._remaining_budget(
-                            chain_budget, chain),
                         shared_cache_entries=self._cache_delta_for(index),
                         shared_counterexamples=self._pool_delta_for(index),
                         shared_analysis_entries=self._analysis_delta_for(index),
@@ -364,15 +358,15 @@ class ChainController:
         of the chains, so the parent's units are untouched by a partial
         generation — resubmitting them replays the generation from its
         seeded snapshot and the results stay bit-identical to an
-        uninterrupted run.  Serial and thread executors share the parent's
-        chain objects (a failed unit may have mutated them), so for those
-        backends the error propagates instead of being retried.  Retries
+        uninterrupted run.  The serial executor shares the parent's chain
+        objects (a failed unit may have mutated them), so there the error
+        propagates instead of being retried.  Retries
         are bounded with exponential backoff and surfaced via
         ``ChainStatistics.worker_retries``.
         """
         retries = 0
-        max_retries = getattr(self.options, "max_worker_retries", 3)
-        backoff = getattr(self.options, "worker_retry_backoff_seconds", 0.05)
+        max_retries = self.options.max_worker_retries
+        backoff = self.options.worker_retry_backoff_seconds
         while True:
             try:
                 futures = [pool.submit(run_chain_generation, unit)
@@ -401,7 +395,7 @@ class ChainController:
     def _checkpoint_key(self) -> Optional[str]:
         if self.store is None:
             return None
-        key = getattr(self.options, "checkpoint_key", None)
+        key = self.options.checkpoint_key
         return str(key) if key else None
 
     def _write_checkpoint(self, generation: int, generations: List[int],
@@ -502,9 +496,9 @@ class ChainController:
         point.  The listener fires first and is purely observational — the
         serve daemon turns its payload into streaming ``watch`` events.
         """
-        listener = getattr(self.options, "progress_listener", None)
+        listener = self.options.progress_listener
         if listener is not None:
-            offset = getattr(self.options, "chain_index_offset", 0)
+            offset = self.options.chain_index_offset
             listener({
                 "completed": completed,
                 "total": total,
@@ -517,7 +511,7 @@ class ChainController:
                                       default=None)}
                     for index, chain in enumerate(chains or [])],
             })
-        hook = getattr(self.options, "generation_hook", None)
+        hook = self.options.generation_hook
         if hook is None:
             return
         if hook(completed, total) is False:
@@ -549,7 +543,7 @@ class ChainController:
                 self._analysis_seen.add(key)
                 self._analysis_log.append((key, outcome))
                 summary["preseeded_analysis"] += 1
-        if getattr(self.options, "store_preseed_counterexamples", False):
+        if self.options.store_preseed_counterexamples:
             summary["preseeded_counterexamples"] = \
                 self.preseed_counterexamples(
                     self.store.counterexamples_for(self.source))
@@ -587,13 +581,13 @@ class ChainController:
         # controller sees only a contiguous slice of the settings, and the
         # offset keeps its chain ``i`` bit-identical to chain ``offset + i``
         # of the unsharded run.
-        index += getattr(options, "chain_index_offset", 0)
+        index += options.chain_index_offset
         # One engine per chain, shared between its test suite and its
         # verification pipeline (chains must not share engines: each is
         # shipped whole to a worker).
-        engine = create_engine(getattr(options, "engine", None))
-        suite = TestSuite(self.source, num_initial=options.num_initial_tests,
-                          seed=options.seed + index, engine=engine)
+        engine = FusedEngine()
+        suite = TestSuite(self.source, seed=options.seed + index,
+                          engine=engine)
         # With a durable store, warm the chain's cache at construction time:
         # building a chain evaluates the source against itself, and that
         # verification would otherwise always escalate to the full stage —
@@ -605,14 +599,16 @@ class ChainController:
             cache = EquivalenceCache()
             cache.seed(dict(self._cache_log), foreign=True)
             cache.mark_store_origin(self._store_keys)
+        pipeline = VerificationPipeline(options=options.equivalence,
+                                        cache=cache, engine=engine,
+                                        analyzer=AbstractAnalyzer())
         return MarkovChain(
             self.source,
             cost_settings=setting.cost,
             probabilities=setting.probabilities,
             seed=options.seed * 1009 + index,
             test_suite=suite,
-            equivalence_options=options.equivalence,
-            cache=cache,
+            pipeline=pipeline,
             engine=engine,
             proposal_region=self.proposal_region,
             keep_nops=self.keep_nops)
@@ -627,13 +623,6 @@ class ChainController:
         if iterations % interval:
             schedule.append(iterations % interval)
         return schedule
-
-    @staticmethod
-    def _remaining_budget(chain_budget: Optional[float],
-                          chain: MarkovChain) -> Optional[float]:
-        if chain_budget is None:
-            return None
-        return max(chain_budget - chain.stats.elapsed_seconds, 0.0)
 
     # ------------------------------------------------------------------ #
     def _cache_delta_for(self, chain_index: int

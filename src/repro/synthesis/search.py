@@ -19,17 +19,50 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from ..bpf.program import BpfProgram
-from ..engine import DEFAULT_ENGINE_KIND
 from ..equivalence import EquivalenceOptions
 from ..verification import PipelineStats
 from ..verifier import KernelChecker
 from .cost import PerformanceGoal
+from .executors import EXECUTOR_KINDS
 from .mcmc import ChainResult, VerifiedCandidate
 from .params import ParameterSetting, all_parameter_settings
 from .parallel import ChainController
 
-__all__ = ["SearchOptions", "SearchResult", "Synthesizer",
-           "assemble_search_result", "deduplicate_candidates"]
+__all__ = ["GOALS", "SearchOptions", "SearchResult", "Synthesizer",
+           "assemble_search_result", "deduplicate_candidates",
+           "validate_request"]
+
+#: The ``goal`` names of the front ends (``K2Config``, ``JobSpec`` and the
+#: CLI's ``--goal``), mapped to the goal a search optimizes.
+GOALS = {"size": PerformanceGoal.INSTRUCTION_COUNT,
+         "latency": PerformanceGoal.LATENCY}
+
+
+def validate_request(request) -> None:
+    """Raise ``ValueError`` if ``request`` names a search no run can do.
+
+    ``request`` is a :class:`repro.api.K2Config` or a
+    :class:`repro.service.JobSpec`; both carry the fields read here under
+    the same names, and both validate through this one check, so a spec
+    the daemon accepts is exactly a config the library accepts.
+    """
+    if request.goal not in GOALS:
+        raise ValueError(f"goal must be one of {', '.join(GOALS)}")
+    if request.iterations <= 0:
+        raise ValueError("iterations must be positive")
+    if request.settings <= 0:
+        raise ValueError("settings must be positive")
+    if request.executor not in EXECUTOR_KINDS:
+        raise ValueError(
+            f"executor must be one of {', '.join(EXECUTOR_KINDS)}")
+    if request.window_size < 2 or not \
+            0 <= request.window_overlap < request.window_size:
+        raise ValueError("window_size must be >= 2 and window_overlap "
+                         "must be >= 0 and smaller than window_size")
+    if request.conflict_budget is not None and request.conflict_budget <= 0:
+        raise ValueError("conflict_budget must be positive")
+    if request.shards < 1:
+        raise ValueError("shards must be >= 1")
 
 
 @dataclasses.dataclass
@@ -41,17 +74,13 @@ class SearchOptions:
     num_parameter_settings: int = 4
     top_k: int = 1
     seed: int = 0
-    num_initial_tests: int = 24
-    time_budget_seconds: Optional[float] = None
     equivalence: EquivalenceOptions = dataclasses.field(
         default_factory=EquivalenceOptions)
-    #: Remove outputs rejected by the kernel-checker model (post-processing).
-    kernel_checker_filter: bool = True
-    #: Worker processes/threads to dispatch chains over.  ``1`` keeps the
-    #: search in-process (serial executor) and fully sequential.
+    #: Worker processes to dispatch chains over.  ``1`` keeps the search
+    #: in-process (serial executor) and fully sequential.
     num_workers: int = 1
     #: Executor backend: ``auto`` (process pool when ``num_workers > 1``,
-    #: serial otherwise), ``serial``, ``process`` or ``thread``.
+    #: serial otherwise), ``serial`` or ``process``.
     executor: str = "auto"
     #: Iterations per generation between cross-chain synchronisation points.
     #: ``None`` (or any non-positive value) runs each chain to completion in
@@ -62,13 +91,6 @@ class SearchOptions:
     share_cache: bool = True
     #: Share discovered counterexamples across chains at generation boundaries.
     share_counterexamples: bool = True
-    #: Execution engine for candidate evaluation: ``fused``
-    #: (superinstruction traces compiled per basic-block region, the
-    #: default), ``decoded`` (decode-once micro-op engine) or ``legacy``
-    #: (the reference interpreter) — the ablation knob behind the CLI's
-    #: ``--engine``.  All three produce bit-identical search results; only
-    #: throughput differs.
-    engine: str = DEFAULT_ENGINE_KIND
     #: Windowed segment synthesis (the CLI's ``--windowed``): slice the
     #: source into overlapping windows (:mod:`repro.synthesis.windows`), run
     #: the chains per window with window-local proposals, stitch the best
@@ -121,8 +143,8 @@ class SearchOptions:
     #: ``offset + i`` of the unsharded run (see ``repro.service.shards``).
     chain_index_offset: int = 0
     #: Generations re-dispatched after a dying process-pool worker before
-    #: the failure is propagated (process executor only; serial/thread
-    #: failures are never retried — their units share the parent's chains).
+    #: the failure is propagated (process executor only; serial failures
+    #: are never retried — their units share the parent's chains).
     max_worker_retries: int = 3
     #: Base of the exponential backoff between pool rebuilds.
     worker_retry_backoff_seconds: float = 0.05
@@ -233,7 +255,7 @@ def assemble_search_result(source: BpfProgram,
 
     This is the single assembly path for whole-program runs *and* for the
     shard-merge path in :mod:`repro.service.shards`: candidates are sorted
-    by ``(perf_cost, instruction_count)``, optionally filtered through the
+    by ``(perf_cost, instruction_count)``, filtered through the
     kernel-checker model, deduplicated structurally and cut to ``top_k`` —
     all deterministic given ``chain_results`` in chain-index order, which
     is what makes a merged sharded run bit-identical to an unsharded one.
@@ -243,24 +265,18 @@ def assemble_search_result(source: BpfProgram,
                   for candidate in result.candidates]
     candidates.sort(key=lambda c: (c.perf_cost, c.instruction_count))
 
-    rejected = 0
-    if options.kernel_checker_filter:
-        if kernel_checker is None:
-            kernel_checker = KernelChecker()
-        accepted = []
-        for candidate in candidates:
-            if kernel_checker.load(candidate.program).accepted:
-                accepted.append(candidate)
-            else:
-                rejected += 1
-        candidates = accepted
+    if kernel_checker is None:
+        kernel_checker = KernelChecker()
+    accepted = [candidate for candidate in candidates
+                if kernel_checker.load(candidate.program).accepted]
+    rejected = len(candidates) - len(accepted)
 
     verification: Dict[str, Dict[str, float]] = {}
     for result in chain_results:
         PipelineStats.merge_dicts(verification,
                                   result.statistics.verification)
 
-    top = deduplicate_candidates(candidates)[:max(options.top_k, 1)]
+    top = deduplicate_candidates(accepted)[:max(options.top_k, 1)]
     return SearchResult(
         source=source,
         best=top[0] if top else None,

@@ -44,7 +44,6 @@ from ..bpf.cfg import build_cfg
 from ..bpf.liveness import compute_liveness
 from ..bpf.program import BpfProgram
 from ..bpf.transforms import remove_nops
-from ..engine import create_engine
 from ..equivalence import EquivalenceCache
 from ..equivalence.window import live_stack_offsets
 from ..perf.latency_model import DEFAULT_LATENCY_MODEL
@@ -211,7 +210,7 @@ class WindowedScheduler:
         # base, written by one controller at a time, and a re-run warm-starts
         # every window.
         store = VerdictStore(options.store_path) \
-            if getattr(options, "store_path", None) else None
+            if options.store_path else None
         store_stats: Optional[Dict[str, object]] = None
         master_cache = EquivalenceCache()
         #: Distinct counterexamples discovered by any window, replayed into
@@ -238,11 +237,11 @@ class WindowedScheduler:
             # windowed job re-runs completed windows cold (bit-identical —
             # the shared store replays their verdicts) and resumes the
             # window that was in flight from its last generation.
-            base_key = getattr(options, "checkpoint_key", None)
+            base_key = options.checkpoint_key
             # The caller's progress listener sees every window's generations
             # tagged with the window index/span, so a streaming consumer
             # (the serve daemon's watch events) can attribute progress.
-            listener = getattr(options, "progress_listener", None)
+            listener = options.progress_listener
             if listener is not None:
                 def window_listener(info, _listener=listener, _index=index,
                                     _span=window.span):
@@ -338,8 +337,6 @@ class WindowedScheduler:
                       for result in results
                       for candidate in result.candidates]
         candidates.sort(key=lambda c: (c.perf_cost, c.instruction_count))
-        if not self.options.kernel_checker_filter:
-            return (candidates[0] if candidates else None), 0
         rejected = 0
         for candidate in candidates:
             if self.kernel_checker.load(candidate.program).accepted:
@@ -367,7 +364,6 @@ class WindowedScheduler:
             return None, None, 0
 
         pipeline = VerificationPipeline(options=options.equivalence,
-                                        engine=create_engine(options.engine),
                                         analyzer=AbstractAnalyzer())
         outcome = pipeline.verify(source, stitched)
         PipelineStats.merge_dicts(verification, pipeline.stats.as_dict())
@@ -376,8 +372,7 @@ class WindowedScheduler:
         # The proof concluded: stitch_verified stays True even when the
         # kernel-checker filter rejects the program afterwards (a distinct
         # outcome, reported separately via rejected_by_kernel_checker).
-        if options.kernel_checker_filter \
-                and not self.kernel_checker.load(stitched).accepted:
+        if not self.kernel_checker.load(stitched).accepted:
             return None, True, 1
 
         cost_settings = settings[0].cost if settings else None

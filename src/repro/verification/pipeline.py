@@ -22,7 +22,7 @@ source program's encoding is bit-blasted once at the solver's base level
 and every candidate query runs in a push/pop scope guarded by an assumption
 literal, reusing the blasted CNF and the learned clauses of earlier
 queries.  :meth:`begin_generation` drops those sessions; the parallel
-engine calls it at every generation boundary so serial, thread and process
+engine calls it at every generation boundary so serial and process
 executors traverse identical solver histories.
 """
 
@@ -33,7 +33,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..bpf.program import BpfProgram
-from ..engine import create_engine
+from ..engine import FusedEngine
 from ..equivalence import (
     EquivalenceCache, EquivalenceChecker, EquivalenceOptions,
     EquivalenceResult, Window, WindowEquivalenceChecker,
@@ -186,7 +186,7 @@ class VerificationPipeline:
         # One long-lived execution engine feeds the replay stage (and is
         # shared with the owning chain's test suite when the caller passes
         # the same instance).
-        self.engine = engine if engine is not None else create_engine()
+        self.engine = engine if engine is not None else FusedEngine()
         self.checker = EquivalenceChecker(self.options)
         self.window_checker = WindowEquivalenceChecker(self.options)
         if stages is not None:

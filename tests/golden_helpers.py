@@ -16,9 +16,13 @@ Two golden files live next to this module:
 
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapDef, MapEnvironment, MapType
+from repro.synthesis import (
+    MarkovChain, PerformanceGoal, TestSuite, all_parameter_settings,
+)
 
 __all__ = ["GOLDEN_PATH", "TRAJECTORIES_PATH", "chain_signature",
-           "search_signature", "unsafe_variants", "verification_signature"]
+           "engine_chain_signatures", "search_signature", "unsafe_variants",
+           "verification_signature"]
 
 import os
 
@@ -47,6 +51,29 @@ def chain_signature(chain_result):
         tuple((c.program.structural_key(), c.perf_cost, c.instruction_count,
                c.found_at_iteration) for c in chain_result.candidates),
     )
+
+
+def engine_chain_signatures(source, make_engine, iterations, seed,
+                            num_settings=2):
+    """:func:`chain_signature` of one chain per Table 8 size setting, each
+    chain running on its own ``make_engine()`` instance.
+
+    Chains and suites are seeded the way the search controller seeds chain
+    ``index``, so comparing two engine classes compares two trajectories
+    of the same search.
+    """
+    settings = all_parameter_settings(PerformanceGoal.INSTRUCTION_COUNT)
+    signatures = []
+    for index, setting in enumerate(settings[:num_settings]):
+        engine = make_engine()
+        chain = MarkovChain(source, cost_settings=setting.cost,
+                            probabilities=setting.probabilities,
+                            seed=seed * 1009 + index,
+                            test_suite=TestSuite(source, seed=seed + index,
+                                                 engine=engine),
+                            engine=engine)
+        signatures.append(chain_signature(chain.run(iterations)))
+    return signatures
 
 
 def search_signature(result):

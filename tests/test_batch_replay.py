@@ -3,7 +3,7 @@
 ``run_batch`` is the replay stage's hot path: one decode, one machine, a
 batch of pooled tests, with one early exit — a ``stop(index, output)``
 predicate, which the verification pipeline uses to pinpoint a refuting
-counterexample.  The contract, for every engine kind, is that a batched run
+counterexample.  The contract, for every engine, is that a batched run
 is indistinguishable from N sequential :meth:`run` calls:
 
 * identical output fingerprints (return value, packet, maps, fault kind
@@ -18,7 +18,7 @@ is indistinguishable from N sequential :meth:`run` calls:
 
 Hypothesis drives the candidate shapes (proposal-mutation chains over
 corpus programs) and the batch shapes (sizes, duplicate tests, early-exit
-positions); each engine kind is a separate parametrized case.
+positions); each engine class is a separate parametrized case.
 """
 
 import random
@@ -27,13 +27,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus import get_benchmark
-from repro.engine import ENGINE_KINDS, create_engine
+from repro.engine import ExecutionEngine, FusedEngine
+from repro.interpreter import Interpreter
 from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
 from test_engine import output_fingerprint
 
 BENCHMARKS = ["xdp_exception", "xdp_pktcntr", "xdp_map_access"]
+
+#: Every engine the suite compares, by the name its test ids carry.
+ENGINES = {"fused": FusedEngine, "decoded": ExecutionEngine,
+           "legacy": Interpreter}
 
 
 def _candidate(name, mutations, seed):
@@ -65,7 +70,7 @@ batch_cases = st.tuples(
 )
 
 
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 class TestBatchEqualsSequential:
     @given(case=batch_cases)
     @settings(max_examples=40, deadline=None)
@@ -73,9 +78,9 @@ class TestBatchEqualsSequential:
         name, mutations, size, seed = case
         program = _candidate(name, mutations, seed)
         tests = _tests(program, size, seed)
-        sequential = [create_engine(kind).run(program, test)
+        sequential = [ENGINES[kind]().run(program, test)
                       for test in tests]
-        batched = create_engine(kind).run_batch(program, tests)
+        batched = ENGINES[kind]().run_batch(program, tests)
         assert len(batched) == len(sequential)
         for a, b in zip(sequential, batched):
             assert output_fingerprint(a) == output_fingerprint(b)
@@ -86,9 +91,9 @@ class TestBatchEqualsSequential:
         name, mutations, size, seed = case
         program = _candidate(name, mutations, seed)
         tests = _tests(program, size, seed)
-        sequential = [create_engine(kind).run(program, test)
+        sequential = [ENGINES[kind]().run(program, test)
                       for test in tests]
-        truncated = create_engine(kind).run_batch(
+        truncated = ENGINES[kind]().run_batch(
             program, tests, stop=lambda index, output: output.fault is not None)
         faults = [index for index, output in enumerate(sequential)
                   if output.fault is not None]
@@ -110,15 +115,15 @@ class TestBatchEqualsSequential:
         source = get_benchmark(name).program()
         candidate = _candidate(name, mutations, seed)
         tests = _tests(source, size, seed)
-        engine = create_engine(kind)
+        engine = ENGINES[kind]()
         expected = engine.run_batch(source, tests)
-        sequential = [create_engine(kind).run(candidate, test)
+        sequential = [ENGINES[kind]().run(candidate, test)
                       for test in tests]
-        got = create_engine(kind).run_batch(
+        got = ENGINES[kind]().run_batch(
             candidate, tests, stop=lambda index, output:
                 output.observable() != expected[index].observable())
         observables = [o.observable() for o in expected]
-        got_by_observable = create_engine(kind).run_batch(
+        got_by_observable = ENGINES[kind]().run_batch(
             candidate, tests, stop=lambda index, output:
                 output.observable() != observables[index])
         assert [output_fingerprint(o) for o in got_by_observable] == \
@@ -143,10 +148,10 @@ class TestBatchEqualsSequential:
         name, mutations, size, seed = case
         program = _candidate(name, mutations, seed)
         tests = _tests(program, size, seed)
-        engine = create_engine(kind)
+        engine = ENGINES[kind]()
         first = engine.run_batch(program, tests)
         second = engine.run_batch(program, tests)
-        fresh = create_engine(kind).run_batch(program, tests)
+        fresh = ENGINES[kind]().run_batch(program, tests)
         assert [output_fingerprint(o) for o in first] == \
             [output_fingerprint(o) for o in fresh]
         assert [output_fingerprint(o) for o in second] == \

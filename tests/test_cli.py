@@ -1,8 +1,11 @@
 """Tests for the ``k2`` command-line interface (repro.cli)."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import main
+from repro.api import K2Config
+from repro.cli import build_parser, main
 
 
 class TestCorpusCommand:
@@ -68,3 +71,22 @@ class TestArgumentValidation:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestConfigFlags:
+    #: Flags of ``k2 optimize`` / ``k2 submit`` that pick the program or
+    #: drive the client, not the search.
+    NOT_SEARCH_FLAGS = {"program", "benchmark", "hook", "state", "wait",
+                        "follow", "timeout"}
+
+    def test_config_fields_are_the_search_flags(self):
+        """Every K2Config field is a flag and every search flag a field."""
+        parser = build_parser()
+        dests = set()
+        for command in ("optimize", "submit"):
+            namespace = parser.parse_args([command, "--benchmark", "x"])
+            dests |= set(vars(namespace)) - {"command", "func"}
+        fields = {field.name for field in dataclasses.fields(K2Config)}
+        assert fields - dests == set(), "config fields without a flag"
+        assert dests - self.NOT_SEARCH_FLAGS - fields == set(), \
+            "search flags without a config field"

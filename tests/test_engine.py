@@ -16,19 +16,15 @@ import pytest
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapDef, MapEnvironment, MapState, MapType
 from repro.corpus import all_benchmarks, get_benchmark
-from repro.engine import (
-    DEFAULT_ENGINE_KIND, ENGINE_KINDS, ExecutionEngine, ProgramDecoder,
-    ResettableMachine, create_engine,
-)
+from repro.engine import ExecutionEngine, ProgramDecoder, ResettableMachine
 from repro.interpreter import Interpreter, ProgramInput
 from repro.interpreter.interpreter import run_program
 from repro.perf.latency_model import DEFAULT_LATENCY_MODEL
 from repro.perf.rig import DeviceUnderTest, TrafficGenerator
-from repro.synthesis import SearchOptions, Synthesizer
 from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
-from golden_helpers import search_signature
+from golden_helpers import engine_chain_signatures
 
 
 def prog(text, hook=HookType.XDP, maps=None):
@@ -274,23 +270,9 @@ class TestRunBatch:
 
 
 # --------------------------------------------------------------------------- #
-# Factory, pickling, run_program churn fix
+# Pickling, run_program churn fix
 # --------------------------------------------------------------------------- #
 class TestEngineFactory:
-    def test_kinds(self):
-        assert isinstance(create_engine(), ExecutionEngine)
-        assert isinstance(create_engine("decoded"), ExecutionEngine)
-        legacy = create_engine("legacy")
-        assert isinstance(legacy, Interpreter)
-        assert legacy.kind == "legacy"
-        assert set(ENGINE_KINDS) == {"fused", "decoded", "legacy"}
-        assert create_engine().kind == DEFAULT_ENGINE_KIND == "fused"
-
-    def test_unknown_kind_rejected(self):
-        for kind in ("vectorized", "batch", "auto"):
-            with pytest.raises(ValueError):
-                create_engine(kind)
-
     def test_engine_pickles_with_warm_caches(self):
         engine = ExecutionEngine(step_limit=1000)
         program = get_benchmark("xdp_exception").program()
@@ -369,10 +351,12 @@ class TestLatencyEstimateRegression:
     def test_device_under_test_service_times_identical(self):
         program = get_benchmark("xdp1").program()
         traffic = TrafficGenerator(program, pool_size=16).pool
-        decoded_times = DeviceUnderTest(program).service_times_ns(traffic)
-        legacy_times = DeviceUnderTest(program,
-                                       engine="legacy").service_times_ns(traffic)
-        assert decoded_times == legacy_times
+        dut = DeviceUnderTest(program)
+        legacy = Interpreter(
+            opcode_cost_fn=DEFAULT_LATENCY_MODEL.instruction_cost)
+        legacy_times = [output.estimated_ns + dut.per_packet_overhead_ns
+                        for output in legacy.run_batch(program, traffic)]
+        assert dut.service_times_ns(traffic) == legacy_times
 
     def test_static_program_cost_unaffected_by_engine(self):
         # The static estimate never touches an engine; pin a couple of
@@ -384,17 +368,15 @@ class TestLatencyEstimateRegression:
 
 
 # --------------------------------------------------------------------------- #
-# Search-level identity: --engine decoded == --engine legacy
+# Search-level identity: chains on the decoded engine == on the interpreter
 # --------------------------------------------------------------------------- #
 class TestSearchIdentityAcrossEngines:
     @pytest.mark.slow
     def test_decoded_search_bit_identical_to_legacy(self):
         source = get_benchmark("xdp_exception").program()
-        signatures = {}
-        for kind in ("legacy", "decoded"):
-            options = SearchOptions(iterations_per_chain=150,
-                                    num_parameter_settings=2, seed=11,
-                                    executor="serial", engine=kind)
-            result = Synthesizer(options).optimize(source)
-            signatures[kind] = search_signature(result)
+        signatures = {
+            name: engine_chain_signatures(source, make_engine,
+                                          iterations=150, seed=11)
+            for name, make_engine in (("legacy", Interpreter),
+                                      ("decoded", ExecutionEngine))}
         assert signatures["decoded"] == signatures["legacy"]

@@ -21,11 +21,10 @@ from repro.corpus import all_benchmarks, get_benchmark
 from repro.engine import ExecutionEngine, FusedEngine
 from repro.interpreter import Interpreter, ProgramInput
 from repro.perf.latency_model import DEFAULT_LATENCY_MODEL
-from repro.synthesis import SearchOptions, Synthesizer
 from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
-from golden_helpers import search_signature
+from golden_helpers import engine_chain_signatures
 from test_engine import output_fingerprint
 
 
@@ -232,28 +231,20 @@ class TestFuseCache:
 
 
 # --------------------------------------------------------------------------- #
-# Search-level identity: --engine fused == --engine decoded
+# Search-level identity: chains on the fused engine == on the lower tiers
 # --------------------------------------------------------------------------- #
 class TestSearchIdentityFused:
     def test_fused_search_bit_identical_to_decoded(self):
         source = get_benchmark("xdp_exception").program()
-        signatures = {}
-        for kind in ("decoded", "fused"):
-            options = SearchOptions(iterations_per_chain=60,
-                                    num_parameter_settings=2, seed=11,
-                                    executor="serial", engine=kind)
-            result = Synthesizer(options).optimize(source)
-            signatures[kind] = search_signature(result)
-        assert signatures["fused"] == signatures["decoded"]
+        assert engine_chain_signatures(source, FusedEngine, iterations=60,
+                                       seed=11) == \
+            engine_chain_signatures(source, ExecutionEngine, iterations=60,
+                                    seed=11)
 
     @pytest.mark.slow
     def test_fused_search_bit_identical_to_legacy_wide(self):
         source = get_benchmark("xdp_pktcntr").program()
-        signatures = {}
-        for kind in ("legacy", "fused"):
-            options = SearchOptions(iterations_per_chain=150,
-                                    num_parameter_settings=2, seed=7,
-                                    executor="serial", engine=kind)
-            result = Synthesizer(options).optimize(source)
-            signatures[kind] = search_signature(result)
-        assert signatures["fused"] == signatures["legacy"]
+        assert engine_chain_signatures(source, FusedEngine, iterations=150,
+                                       seed=7) == \
+            engine_chain_signatures(source, Interpreter, iterations=150,
+                                    seed=7)

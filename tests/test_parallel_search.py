@@ -9,8 +9,10 @@ boundaries.
 
 import pytest
 
+from repro.analysis import AbstractAnalyzer
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
+from repro.engine import FusedEngine
 from repro.equivalence import EquivalenceCache
 from repro.equivalence.checker import EquivalenceResult
 from repro.synthesis import (
@@ -18,6 +20,7 @@ from repro.synthesis import (
     all_parameter_settings, create_executor, resolve_executor_kind,
 )
 from repro.synthesis import TestSuite as SynthTestSuite
+from repro.verification import VerificationPipeline
 
 from golden_helpers import chain_signature, search_signature
 
@@ -46,16 +49,21 @@ class TestSerialMatchesLegacy:
             :options.num_parameter_settings]
 
         # The original engine, inlined: one chain per setting, run to
-        # completion in order, each with its own private cache and suite.
+        # completion in order, each with its own engine, suite and
+        # verification pipeline (private cache, shared analyzer).
         legacy = []
         for index, setting in enumerate(settings):
-            suite = SynthTestSuite(source, num_initial=options.num_initial_tests,
-                              seed=options.seed + index)
+            engine = FusedEngine()
+            suite = SynthTestSuite(source, seed=options.seed + index,
+                                   engine=engine)
+            pipeline = VerificationPipeline(options=options.equivalence,
+                                            engine=engine,
+                                            analyzer=AbstractAnalyzer())
             chain = MarkovChain(source, cost_settings=setting.cost,
                                 probabilities=setting.probabilities,
                                 seed=options.seed * 1009 + index,
-                                test_suite=suite,
-                                equivalence_options=options.equivalence)
+                                test_suite=suite, pipeline=pipeline,
+                                engine=engine)
             legacy.append(chain.run(options.iterations_per_chain))
 
         result = Synthesizer(options).optimize(source)
@@ -89,14 +97,6 @@ class TestExecutorEquivalence:
                                            **self.OPTIONS)).optimize(source)
         assert pooled.executor_used == "process"
         assert search_signature(serial) == search_signature(pooled)
-
-    def test_thread_executor_matches_serial(self):
-        source = prog(REDUNDANT)
-        serial = Synthesizer(SearchOptions(executor="serial",
-                                           **self.OPTIONS)).optimize(source)
-        threaded = Synthesizer(SearchOptions(executor="thread", num_workers=2,
-                                             **self.OPTIONS)).optimize(source)
-        assert search_signature(serial) == search_signature(threaded)
 
 
 class TestSharing:

@@ -251,6 +251,17 @@ class TestJobQueue:
             JobSpec.from_dict({"benchmark": "x", "iterations": 0})
         with pytest.raises(ValueError):
             JobSpec.from_dict({"benchmark": "x", "conflict_budget": -1})
+        # The rules K2Config enforces: no silent size search for an
+        # unknown goal, no job that retries an unknown executor until it
+        # fails, no window geometry the planner cannot slice.
+        for bad in ({"goal": "fast"}, {"executor": "fibers"},
+                    {"executor": "thread"},
+                    {"window_size": 8, "window_overlap": 8}):
+            with pytest.raises(ValueError):
+                JobSpec.from_dict(dict(bad, benchmark="x"))
+        # A journaled or peer spec that still names the retired engine
+        # knob decodes, with the field ignored.
+        assert JobSpec.from_dict(dict(spec.to_dict(), engine="legacy")) == spec
 
     def test_journal_replay_requeues_running_jobs(self, tmp_path):
         journal = str(tmp_path / "jobs.jsonl")

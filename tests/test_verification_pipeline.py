@@ -251,20 +251,6 @@ class TestMarkovChainIntegration:
         assert chain.stats.verification["_pipeline"]["queries"] == \
             pipeline.stats.queries
 
-    def test_chain_rejects_pipeline_plus_deprecated_kwargs(self):
-        source = prog(REDUNDANT)
-        with pytest.raises(ValueError, match="not both"):
-            MarkovChain(source, pipeline=VerificationPipeline(),
-                        equivalence_options=EquivalenceOptions())
-
-    def test_deprecated_kwargs_feed_the_pipeline(self):
-        source = prog(REDUNDANT)
-        options = EquivalenceOptions(enable_cache=False)
-        chain = MarkovChain(source, equivalence_options=options,
-                            test_suite=SynthTestSuite(source, num_initial=4, seed=0))
-        assert chain.pipeline.options is options
-        assert chain.equivalence_options is options
-
     def test_stats_match_legacy_counters(self):
         """equivalence_checks/cache_hits keep their pre-pipeline meaning."""
         source = prog(REDUNDANT)
