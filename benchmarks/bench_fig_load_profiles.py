@@ -7,7 +7,6 @@ average latency vs. offered load, and drop rate vs. offered load.
 
 import pytest
 
-from repro.core import OptimizationGoal
 from repro.perf import BenchmarkRig
 
 from harness import print_table, run_search
@@ -20,7 +19,7 @@ def _run_all():
     rows = []
     for name in BENCHMARKS:
         source, result = run_search(name, iterations=300, num_settings=1,
-                                    goal=OptimizationGoal.LATENCY)
+                                    goal="latency")
         variants = {"clang": source, "K2": result.optimized}
         rigs = {label: BenchmarkRig(program, packets_per_trial=3000)
                 for label, program in variants.items()}

@@ -8,7 +8,6 @@ search, mirroring how the paper picks its top-k latency candidates.
 
 import pytest
 
-from repro.core import OptimizationGoal
 from repro.perf import BenchmarkRig
 
 from harness import print_table, run_search
@@ -20,7 +19,7 @@ def _run_all():
     rows = []
     for name in BENCHMARKS:
         source, result = run_search(name, iterations=500, num_settings=1,
-                                    goal=OptimizationGoal.LATENCY)
+                                    goal="latency")
         clang_rig = BenchmarkRig(source, packets_per_trial=4000)
         k2_rig = BenchmarkRig(result.optimized, packets_per_trial=4000)
         clang_mlffr = clang_rig.mlffr_mpps()

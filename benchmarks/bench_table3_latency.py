@@ -7,7 +7,6 @@ the paper: relative to the slower and faster of the two variants' MLFFR.
 
 import pytest
 
-from repro.core import OptimizationGoal
 from repro.perf import BenchmarkRig
 
 from harness import print_table, run_search
@@ -19,7 +18,7 @@ def _run_all():
     rows = []
     for name in BENCHMARKS:
         source, result = run_search(name, iterations=400, num_settings=1,
-                                    goal=OptimizationGoal.LATENCY)
+                                    goal="latency")
         clang_rig = BenchmarkRig(source, packets_per_trial=4000)
         k2_rig = BenchmarkRig(result.optimized, packets_per_trial=4000)
         loads = clang_rig.standard_latency_loads(k2_rig)

@@ -7,7 +7,6 @@ iteration at which the best program was found — the columns of Table 7.
 
 import pytest
 
-from repro.core import OptimizationGoal
 from repro.perf import estimate_program_latency
 
 from harness import print_table, run_search
@@ -20,7 +19,7 @@ def _run_all():
     rows = []
     for name in BENCHMARKS:
         source, result = run_search(name, iterations=600, num_settings=2,
-                                    goal=OptimizationGoal.LATENCY)
+                                    goal="latency")
         original = estimate_program_latency(source)
         optimized = estimate_program_latency(result.optimized)
         gain = 100.0 * (original - optimized) / original if original else 0.0

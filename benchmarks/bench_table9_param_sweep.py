@@ -11,8 +11,7 @@ ones that honour ``K2_BENCH_WORKERS``.
 
 import pytest
 
-from repro.core import OptimizationGoal
-from repro.synthesis import all_parameter_settings
+from repro.synthesis import PerformanceGoal, all_parameter_settings
 
 from harness import print_table, run_search
 
@@ -22,7 +21,7 @@ ITERATIONS = 400
 
 
 def _run_all():
-    settings = all_parameter_settings(OptimizationGoal.INSTRUCTION_COUNT)[:NUM_SETTINGS]
+    settings = all_parameter_settings(PerformanceGoal.INSTRUCTION_COUNT)[:NUM_SETTINGS]
     rows = []
     for name in BENCHMARKS:
         sizes = []

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.api import K2Config
-from repro.core import OptimizationGoal
+from repro.api import K2Config, optimize
 from repro.corpus import get_benchmark
 from repro.synthesis import ParameterSetting
 
@@ -39,7 +38,7 @@ DEFAULT_SETTINGS = 2
 def run_search(benchmark_name: str,
                iterations: int = DEFAULT_ITERATIONS,
                num_settings: int = DEFAULT_SETTINGS,
-               goal: OptimizationGoal = OptimizationGoal.INSTRUCTION_COUNT,
+               goal: str = "size",
                seed: int = 1,
                settings: Optional[List[ParameterSetting]] = None,
                num_workers: int = 1,
@@ -47,18 +46,17 @@ def run_search(benchmark_name: str,
                sync_interval: Optional[int] = None):
     """Run the K2 search on one corpus benchmark and return (source, result).
 
+    ``goal`` is ``"size"`` or ``"latency"`` (``k2 optimize --goal``);
     ``num_workers``/``executor``/``sync_interval`` select the parallel
     engine's dispatch backend and cross-chain sharing cadence; the defaults
     keep the benches sequential and deterministic.
     """
     source = get_benchmark(benchmark_name).program()
     config = K2Config(
-        goal="latency" if goal == OptimizationGoal.LATENCY else "size",
-        iterations=iterations, settings=num_settings, seed=seed,
+        goal=goal, iterations=iterations, settings=num_settings, seed=seed,
         num_workers=num_workers, executor=executor,
         sync_interval=sync_interval)
-    result = config.compiler().optimize(source, settings=settings)
-    return source, result
+    return source, optimize(source, config, settings=settings)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:

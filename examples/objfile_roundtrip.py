@@ -16,7 +16,7 @@ Run with::
     python examples/objfile_roundtrip.py
 """
 
-from repro.api import K2Config
+from repro import api
 from repro.corpus import get_benchmark
 from repro.interpreter import ProgramInput, run_program
 from repro.objfile import BpfObjectFile, build_object, load_object, patch_object
@@ -40,9 +40,8 @@ def main() -> None:
           f"instructions, map fds {loaded.map_fds}")
 
     # 3. Optimize with K2 (small search budget keeps the example quick).
-    compiler = K2Config(goal="size", iterations=1500, settings=2,
-                        seed=1).compiler()
-    result = compiler.optimize(program)
+    result = api.optimize(program, api.K2Config(
+        goal="size", iterations=1500, settings=2, seed=1))
     print(f"K2: {program.num_real_instructions} -> "
           f"{result.optimized.num_real_instructions} instructions "
           f"({result.compression_percent:.1f}% smaller)")

@@ -14,7 +14,7 @@ Run with::
     python examples/phase_ordering.py
 """
 
-from repro.api import K2Config
+from repro import api
 from repro.baseline import OptimizationLevel, RuleBasedCompiler
 from repro.bpf import builders
 from repro.bpf.helpers import XDP_PASS
@@ -61,9 +61,8 @@ def main() -> None:
     for blocked in aware_result.blocked:
         print(f"    blocked {blocked.rule}: {blocked.note}")
 
-    compiler = K2Config(goal="size", iterations=1500, settings=1,
-                        seed=11).compiler()
-    k2_result = compiler.optimize(source)
+    k2_result = api.optimize(source, api.K2Config(
+        goal="size", iterations=1500, settings=1, seed=11))
     describe("K2 (synthesis)", k2_result.optimized)
 
     print()

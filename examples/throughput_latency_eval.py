@@ -12,7 +12,7 @@ Run with::
     python examples/throughput_latency_eval.py
 """
 
-from repro.api import K2Config
+from repro import api
 from repro.corpus import get_benchmark
 from repro.perf import BenchmarkRig
 
@@ -23,9 +23,8 @@ def main() -> None:
     for name in BENCHMARKS:
         bench = get_benchmark(name)
         source = bench.program()
-        compiler = K2Config(goal="latency", iterations=600, settings=1,
-                            seed=3).compiler()
-        optimized = compiler.optimize(source).optimized
+        optimized = api.optimize(source, api.K2Config(
+            goal="latency", iterations=600, settings=1, seed=3)).optimized
 
         rig_src = BenchmarkRig(source, packets_per_trial=4000)
         rig_opt = BenchmarkRig(optimized, packets_per_trial=4000)

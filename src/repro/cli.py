@@ -19,8 +19,12 @@ Examples::
     k2 result --state .k2d j0001
 
 The CLI is a thin shell over the stable :mod:`repro.api` facade — every
-flag maps one-for-one onto a :class:`repro.api.K2Config` field, so
+search flag maps one-for-one onto a :class:`repro.api.K2Config` field, so
 anything scriptable here is scriptable in Python with the same names.
+``k2 optimize``, ``k2 check`` and ``k2 submit`` declare their shared
+program flags once, and ``k2 optimize`` and ``k2 submit`` their shared
+search flags, with the defaults of the config each builds (a
+``K2Config`` and a :class:`~repro.service.JobSpec`).
 
 Every command flushes open verdict stores and exits with status 130 on
 SIGINT/SIGTERM, so an interrupted warm-started run never loses buffered
@@ -60,12 +64,14 @@ def _search_config(args: argparse.Namespace) -> api.K2Config:
         if hasattr(args, field.name)})
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _program(args: argparse.Namespace):
     if args.benchmark:
-        program = api.benchmark_program(args.benchmark)
-    else:
-        program = api.load_program(args.program, args.hook)
-    result = api.optimize(program, _search_config(args))
+        return api.benchmark_program(args.benchmark)
+    return api.load_program(args.program, args.hook)
+
+
+def _cmd_optimize(args: argparse.Namespace) -> int:
+    result = api.optimize(_program(args), _search_config(args))
     print(result.summary())
     print()
     print(result.optimized.to_text())
@@ -73,10 +79,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.benchmark:
-        program = api.benchmark_program(args.benchmark)
-    else:
-        program = api.load_program(args.program, args.hook)
+    program = _program(args)
     safety = SafetyChecker().check(program)
     verdict = KernelChecker().load(program)
     print(f"safety checker : {'safe' if safety.safe else 'UNSAFE'}")
@@ -153,29 +156,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             program_text = handle.read()
     job_id = api.submit(_search_config(args), benchmark=args.benchmark,
                         program_text=program_text, hook=args.hook,
-                        sync_interval=args.sync_interval, state=args.state)
+                        state=args.state)
     print(job_id, flush=True)
     if args.follow:
-        # Event-driven: every line below was pushed by the daemon over a
-        # held-open watch stream — following costs zero status polls.
-        job = None
-        for event in api.watch(job_id, state=args.state,
-                               timeout=args.timeout):
-            line = {"event": event.event, "seq": event.seq}
-            line.update({key: value for key, value in event.data.items()
-                         if key != "job"})
-            print(json.dumps(line, sort_keys=True), flush=True)
-            if event.final:
-                job = (event.data or {}).get("job")
+        job = _print_events(job_id, args).get("job")
         if job is None:  # stream ended without a terminal record
             job = _client(args).result(job_id)
-        print(json.dumps(job, indent=2, sort_keys=True))
-        return 0 if job["state"] == "done" else 1
-    if args.wait:
+    elif args.wait:
         job = api.wait(job_id, state=args.state, timeout=args.timeout)
-        print(json.dumps(job, indent=2, sort_keys=True))
-        return 0 if job["state"] == "done" else 1
-    return 0
+    else:
+        return 0
+    print(json.dumps(job, indent=2, sort_keys=True))
+    return 0 if job["state"] == "done" else 1
 
 
 def _cmd_job_query(args: argparse.Namespace) -> int:
@@ -193,16 +185,26 @@ def _cmd_job_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_watch(args: argparse.Namespace) -> int:
-    final_state = None
-    for event in api.watch(args.job, state=args.state, timeout=args.timeout):
+def _print_events(job_id: str, args: argparse.Namespace) -> dict:
+    """Print a job's events as JSON lines until its terminal one; returns
+    that event's data (empty if the stream ended first).
+
+    Event-driven: every line was pushed by the daemon over a held-open
+    watch stream — following costs zero status polls.
+    """
+    final = {}
+    for event in api.watch(job_id, state=args.state, timeout=args.timeout):
         line = {"event": event.event, "seq": event.seq}
         line.update({key: value for key, value in event.data.items()
                      if key != "job"})
         print(json.dumps(line, sort_keys=True), flush=True)
         if event.final:
-            final_state = (event.data or {}).get("state")
-    return 0 if final_state == "done" else 1
+            final = event.data or {}
+    return final
+
+
+def _cmd_watch(args: argparse.Namespace) -> int:
+    return 0 if _print_events(args.job, args).get("state") == "done" else 1
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
@@ -227,65 +229,94 @@ def _add_state_arg(parser: argparse.ArgumentParser) -> None:
                              "(default: %(default)s)")
 
 
+def _add_program_args(parser: argparse.ArgumentParser, verb: str) -> None:
+    """The program a command reads: an assembly file or a benchmark."""
+    parser.add_argument("program", nargs="?", help="path to a .s assembly file")
+    parser.add_argument("--benchmark", metavar="NAME",
+                        help=f"{verb} a corpus benchmark (see `k2 corpus`) "
+                             f"instead of an assembly file")
+    parser.add_argument("--hook", default="xdp",
+                        choices=[h.value for h in HookType],
+                        help="BPF hook the program attaches to "
+                             "(default: %(default)s)")
+
+
+def _add_search_args(parser: argparse.ArgumentParser,
+                     defaults: api.K2Config, sync_help: str) -> None:
+    """The search flags ``k2 optimize`` and ``k2 submit`` share, with the
+    defaults of the config each command builds."""
+    parser.add_argument("--goal", default=defaults.goal, choices=list(GOALS),
+                        help="optimize for fewer instructions (size) or for "
+                             "estimated latency (default: %(default)s)")
+    parser.add_argument("--iterations", type=int, default=defaults.iterations,
+                        metavar="N",
+                        help="MCMC proposals per Markov chain "
+                             "(default: %(default)s)")
+    parser.add_argument("--settings", type=int, default=defaults.settings,
+                        metavar="K",
+                        help="number of Table 8 parameter settings, i.e. "
+                             "chains, to search (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        metavar="SEED",
+                        help="RNG seed; identical seeds reproduce identical "
+                             "results (default: %(default)s)")
+    parser.add_argument("--num-workers", type=int,
+                        default=defaults.num_workers, metavar="N",
+                        help="worker processes to run chains in parallel; "
+                             "1 keeps the search in-process and sequential "
+                             "(default: %(default)s)")
+    parser.add_argument("--executor", default=defaults.executor,
+                        choices=list(EXECUTOR_KINDS),
+                        help="executor backend for dispatching chains: auto "
+                             "picks a process pool when --num-workers > 1 "
+                             "and the deterministic serial executor "
+                             "otherwise (default: %(default)s)")
+    parser.add_argument("--sync-interval", type=int,
+                        default=defaults.sync_interval, metavar="N",
+                        help=sync_help)
+    parser.add_argument("--windowed", action="store_true",
+                        help="windowed segment synthesis: slice the program "
+                             "into overlapping windows, search each window "
+                             "with its own chains and window-local proposal "
+                             "pools, stitch the best rewrites and re-verify "
+                             "the stitched program against the source "
+                             "through the full tiered pipeline (programs "
+                             "no longer than --window-size fall back to "
+                             "the whole-program search)")
+    parser.add_argument("--window-size", type=int,
+                        default=defaults.window_size, metavar="N",
+                        help="instructions per candidate window "
+                             "(default: %(default)s)")
+    parser.add_argument("--window-overlap", type=int,
+                        default=defaults.window_overlap, metavar="N",
+                        help="instructions shared by consecutive windows "
+                             "(default: %(default)s)")
+    parser.add_argument("--conflict-budget", type=int,
+                        default=defaults.conflict_budget, metavar="N",
+                        help="per-query solver conflict budget "
+                             "(EquivalenceOptions.max_conflicts, fixed when "
+                             "each session solver is built): an SMT query "
+                             "that exhausts it degrades to 'unknown' and "
+                             "the pipeline escalates, so one pathological "
+                             "candidate cannot hang the search; omit for "
+                             "the library default")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``k2`` argument parser, every subcommand included."""
+    from .service import JobSpec
+
     parser = argparse.ArgumentParser(
         prog="k2", description="K2: synthesize safe and efficient BPF bytecode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     optimize = sub.add_parser("optimize", help="optimize a BPF assembly file")
-    optimize.add_argument("program", nargs="?", help="path to a .s assembly file")
-    optimize.add_argument("--benchmark", metavar="NAME",
-                          help="optimize a corpus benchmark (see `k2 corpus`) "
-                               "instead of an assembly file")
-    optimize.add_argument("--hook", default="xdp",
-                          choices=[h.value for h in HookType],
-                          help="BPF hook the program attaches to "
-                               "(default: %(default)s)")
-    optimize.add_argument("--goal", default="size", choices=list(GOALS),
-                          help="optimize for fewer instructions (size) or for "
-                               "estimated latency (default: %(default)s)")
-    optimize.add_argument("--iterations", type=int, default=2000,
-                          metavar="N",
-                          help="MCMC proposals per Markov chain "
-                               "(default: %(default)s)")
-    optimize.add_argument("--settings", type=int, default=4, metavar="K",
-                          help="number of Table 8 parameter settings, i.e. "
-                               "chains, to search (default: %(default)s)")
-    optimize.add_argument("--seed", type=int, default=0, metavar="SEED",
-                          help="RNG seed; identical seeds reproduce identical "
-                               "results (default: %(default)s)")
-    optimize.add_argument("--num-workers", type=int, default=1, metavar="N",
-                          help="worker processes to run chains in parallel; "
-                               "1 keeps the search in-process and sequential "
-                               "(default: %(default)s)")
-    optimize.add_argument("--executor", default="auto",
-                          choices=list(EXECUTOR_KINDS),
-                          help="executor backend for dispatching chains: auto "
-                               "picks a process pool when --num-workers > 1 "
-                               "and the deterministic serial executor "
-                               "otherwise (default: %(default)s)")
-    optimize.add_argument("--sync-interval", type=int, default=None,
-                          metavar="N",
-                          help="iterations between cross-chain sharing points "
-                               "(equivalence-cache entries and "
-                               "counterexamples); omit to run each chain to "
-                               "completion without mid-run sharing")
-    optimize.add_argument("--windowed", action="store_true",
-                          help="windowed segment synthesis: slice the program "
-                               "into overlapping windows, search each window "
-                               "with its own chains and window-local proposal "
-                               "pools, stitch the best rewrites and re-verify "
-                               "the stitched program against the source "
-                               "through the full tiered pipeline (programs "
-                               "no longer than --window-size fall back to "
-                               "the whole-program search)")
-    optimize.add_argument("--window-size", type=int, default=24, metavar="N",
-                          help="instructions per candidate window "
-                               "(default: %(default)s)")
-    optimize.add_argument("--window-overlap", type=int, default=8, metavar="N",
-                          help="instructions shared by consecutive windows "
-                               "(default: %(default)s)")
+    _add_program_args(optimize, "optimize")
+    _add_search_args(
+        optimize, api.K2Config(),
+        "iterations between cross-chain sharing points (equivalence-cache "
+        "entries and counterexamples); omit to run each chain to "
+        "completion without mid-run sharing")
     optimize.add_argument("--store", default=None, metavar="PATH",
                           help="durable verdict store: preseed the "
                                "equivalence cache and analyzer memos from "
@@ -296,15 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "program, and warm starts are bit-identical "
                                "to cold ones (the file is created on first "
                                "use)")
-    optimize.add_argument("--conflict-budget", type=int, default=None,
-                          metavar="N",
-                          help="per-query solver conflict budget "
-                               "(EquivalenceOptions.max_conflicts, fixed when "
-                               "each session solver is built): an SMT query "
-                               "that exhausts it degrades to 'unknown' and "
-                               "the pipeline escalates, so one pathological "
-                               "candidate cannot hang the search; omit for "
-                               "the library default")
     optimize.add_argument("--verify-pipeline", default=None, metavar="STAGES",
                           help="comma-separated verification stages to enable, "
                                "in escalation order, from: replay, cache, "
@@ -314,14 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.set_defaults(func=_cmd_optimize)
 
     check = sub.add_parser("check", help="run the safety and kernel checkers")
-    check.add_argument("program", nargs="?", help="path to a .s assembly file")
-    check.add_argument("--benchmark", metavar="NAME",
-                       help="check a corpus benchmark (see `k2 corpus`) "
-                            "instead of an assembly file")
-    check.add_argument("--hook", default="xdp",
-                       choices=[h.value for h in HookType],
-                       help="BPF hook the program attaches to "
-                            "(default: %(default)s)")
+    _add_program_args(check, "check")
     check.set_defaults(func=_cmd_check)
 
     corpus = sub.add_parser("corpus", help="list the benchmark corpus")
@@ -361,32 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit an optimization job to a running daemon")
     _add_state_arg(submit)
-    submit.add_argument("program", nargs="?",
-                        help="path to a .s assembly file")
-    submit.add_argument("--benchmark", metavar="NAME",
-                        help="submit a corpus benchmark instead of a file")
-    submit.add_argument("--hook", default="xdp",
-                        choices=[h.value for h in HookType])
-    submit.add_argument("--goal", default="size", choices=list(GOALS))
-    submit.add_argument("--iterations", type=int, default=2000, metavar="N")
-    submit.add_argument("--settings", type=int, default=4, metavar="K")
-    submit.add_argument("--seed", type=int, default=0, metavar="SEED")
-    submit.add_argument("--sync-interval", type=int, default=250,
-                        metavar="N",
-                        help="generation length; the daemon checkpoints at "
-                             "every boundary, so this bounds the work a "
-                             "crash can lose (default: %(default)s)")
-    submit.add_argument("--num-workers", type=int, default=1, metavar="N")
-    submit.add_argument("--executor", default="auto",
-                        choices=list(EXECUTOR_KINDS))
-    submit.add_argument("--windowed", action="store_true")
-    submit.add_argument("--window-size", type=int, default=24, metavar="N")
-    submit.add_argument("--window-overlap", type=int, default=8, metavar="N")
-    submit.add_argument("--conflict-budget", type=int, default=None,
-                        metavar="N",
-                        help="per-query solver conflict budget; hung SMT "
-                             "queries degrade to 'unknown' (default: "
-                             "library default)")
+    _add_program_args(submit, "submit")
+    _add_search_args(
+        submit, JobSpec(),
+        "generation length; the daemon checkpoints at every boundary, so "
+        "this bounds the work a crash can lose (default: %(default)s)")
     submit.add_argument("--priority", type=int, default=0, metavar="P",
                         help="scheduling priority: higher runs first, FIFO "
                              "within a priority (default: %(default)s)")

@@ -1,10 +1,12 @@
 """Job specifications and the journaled queue of the serve daemon.
 
 A :class:`JobSpec` is the JSON-safe description of one synthesis request —
-what ``k2 submit`` sends and what the daemon turns into a
-:class:`~repro.synthesis.SearchOptions` + source program.  A :class:`Job`
-wraps a spec with queue state, progress, attempts and (eventually) the
-result summary.
+a :class:`~repro.api.K2Config` plus the program to search, what
+``k2 submit`` sends and what the daemon turns into a source program and,
+through :meth:`~repro.api.K2Config.search_options`, the same
+:class:`~repro.synthesis.SearchOptions` an in-process run would use.  A
+:class:`Job` wraps a spec with queue state, progress, attempts and
+(eventually) the result summary.
 
 Durability: the queue journals every state change as one JSON line in
 ``jobs.jsonl`` inside the daemon state directory (append-only, latest
@@ -12,7 +14,10 @@ record per job wins — the same recovery-by-replay shape as the verdict
 store).  On daemon start the journal is replayed and any job that was
 ``running`` when the previous daemon died is requeued; its search then
 resumes from its last checkpoint in the shared verdict store, so a daemon
-crash costs at most one generation of work per in-flight job.
+crash costs at most one generation of work per in-flight job.  A job
+whose spec no longer validates (say, one journaled before a knob value
+was retired) is kept: a finished one replays as it was, and an unfinished
+one replays as ``failed`` with the validation message, never to run.
 """
 
 from __future__ import annotations
@@ -24,11 +29,9 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..bpf import BpfProgram, HookType, assemble, get_hook
-from ..bpf.maps import MapEnvironment
+from ..api import K2Config
+from ..bpf import BpfProgram, HookType, assemble
 from ..corpus import get_benchmark
-from ..equivalence import EquivalenceOptions
-from ..synthesis import GOALS, SearchOptions, validate_request
 
 __all__ = ["JOB_STATES", "JobSpec", "Job", "JobQueue"]
 
@@ -37,44 +40,23 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 
 @dataclasses.dataclass
-class JobSpec:
-    """One synthesis request, as plain JSON-safe data."""
+class JobSpec(K2Config):
+    """One synthesis request, as plain JSON-safe data: a
+    :class:`~repro.api.K2Config` plus the program it searches.
 
+    ``store`` must stay unset: the daemon searches on its own shared
+    verdict store (see :meth:`~repro.api.K2Config.search_options`).
+    """
+
+    #: Generation length; checkpoints are written at generation boundaries,
+    #: so this bounds the work a crash can lose.  The service default is
+    #: deliberately finite (unlike the library's ``None``).
+    sync_interval: Optional[int] = 250
     #: Corpus benchmark name, or ``None`` with ``program_text`` set.
     benchmark: Optional[str] = None
     #: BPF assembly text (used when ``benchmark`` is None).
     program_text: Optional[str] = None
     hook: str = "xdp"
-    goal: str = "size"
-    iterations: int = 2000
-    settings: int = 4
-    seed: int = 0
-    #: Generation length; checkpoints are written at generation boundaries,
-    #: so this bounds the work a crash can lose.  The service default is
-    #: deliberately finite (unlike the library's ``None``).
-    sync_interval: Optional[int] = 250
-    num_workers: int = 1
-    executor: str = "auto"
-    windowed: bool = False
-    window_size: int = 24
-    window_overlap: int = 8
-    #: Per-query solver conflict budget
-    #: (``EquivalenceOptions.max_conflicts``): a hung SMT query degrades to
-    #: ``unknown`` and the tier escalates, so one pathological candidate
-    #: can never stall the fleet.  ``None`` keeps the library default.
-    conflict_budget: Optional[int] = None
-    #: Scheduling priority: higher runs first; FIFO within a priority.
-    priority: int = 0
-    #: Split the job's chains into this many contiguous shards, farmed out
-    #: to peer daemons (or run locally) and merged deterministically — see
-    #: :mod:`repro.service.shards` for the exact semantics (sharding
-    #: partitions the cross-chain *sharing domain*, so placement never
-    #: changes results).  ``1`` keeps the whole job in one controller.
-    shards: int = 1
-    #: Cross-chain sharing knobs (mirror ``SearchOptions``).  Disable both
-    #: to make a sharded run bit-identical to its unsharded counterpart.
-    share_cache: bool = True
-    share_counterexamples: bool = True
     #: Internal: the shard descriptor of a farmed-out sub-job
     #: (:func:`repro.service.shards.plan_shards` entry).  Clients never set
     #: this; coordinators do when submitting shard work to a peer.
@@ -84,7 +66,10 @@ class JobSpec:
     def validate(self) -> None:
         if not self.benchmark and not self.program_text:
             raise ValueError("job spec needs a benchmark or program_text")
-        validate_request(self)
+        super().validate()
+        if self.store is not None:
+            raise ValueError("a job spec cannot name a store: the daemon "
+                             "searches on its own")
         if self.shards > 1 and self.windowed:
             # Windows compose sequentially (each search base is the
             # previous window's stitch), so they cannot be farmed out in
@@ -98,50 +83,26 @@ class JobSpec:
     def build_program(self) -> BpfProgram:
         if self.benchmark:
             return get_benchmark(self.benchmark).program()
-        return BpfProgram(instructions=assemble(self.program_text),
-                          hook=get_hook(HookType(self.hook)),
-                          maps=MapEnvironment(), name="submitted")
-
-    def search_options(self, store_path: Optional[str],
-                       checkpoint_key: Optional[str],
-                       generation_hook=None,
-                       progress_listener=None) -> SearchOptions:
-        """The fully-wired options for running this spec under the daemon."""
-        equivalence = EquivalenceOptions()
-        if self.conflict_budget is not None:
-            equivalence = dataclasses.replace(
-                equivalence, max_conflicts=int(self.conflict_budget))
-        return SearchOptions(
-            goal=GOALS[self.goal],
-            iterations_per_chain=int(self.iterations),
-            num_parameter_settings=int(self.settings),
-            seed=int(self.seed),
-            sync_interval=self.sync_interval,
-            num_workers=int(self.num_workers),
-            executor=self.executor,
-            window_mode=bool(self.windowed),
-            window_size=int(self.window_size),
-            window_overlap=int(self.window_overlap),
-            share_cache=bool(self.share_cache),
-            share_counterexamples=bool(self.share_counterexamples),
-            equivalence=equivalence,
-            store_path=store_path,
-            checkpoint_key=checkpoint_key,
-            generation_hook=generation_hook,
-            progress_listener=progress_listener)
+        return BpfProgram.create(assemble(self.program_text),
+                                 HookType(self.hook), name="submitted")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        # Unknown keys are dropped: fields of newer clients, and fields
-        # older specs still carry after their knob was retired (``engine``).
-        known = {field.name for field in dataclasses.fields(cls)}
-        spec = cls(**{key: value for key, value in data.items()
-                      if key in known})
+        spec = _decode_spec(data)
         spec.validate()
         return spec
+
+
+def _decode_spec(data: dict) -> JobSpec:
+    """A spec from its dict, unvalidated.  Unknown keys are dropped:
+    fields of newer clients, and fields older specs still carry after
+    their knob was retired (``engine``)."""
+    known = {field.name for field in dataclasses.fields(JobSpec)}
+    return JobSpec(**{key: value for key, value in data.items()
+                      if key in known})
 
 
 @dataclasses.dataclass
@@ -192,7 +153,7 @@ class Job:
     def from_dict(cls, data: dict) -> "Job":
         return cls(
             id=str(data["id"]),
-            spec=JobSpec.from_dict(data["spec"]),
+            spec=_decode_spec(data["spec"]),
             state=str(data["state"]),
             submitted_at=float(data.get("submitted_at") or 0.0),
             started_at=data.get("started_at"),
@@ -232,8 +193,9 @@ class JobQueue:
                     continue
                 try:
                     job = Job.from_dict(json.loads(line))
-                except (ValueError, TypeError, KeyError):
-                    continue  # torn trailing line: lose one update, not all
+                except (ValueError, TypeError, KeyError, AttributeError):
+                    # A torn or garbled line: lose one update, not all.
+                    continue
                 if job.id not in self._jobs:
                     self._order.append(job.id)
                 self._jobs[job.id] = job
@@ -241,6 +203,15 @@ class JobQueue:
             index = _index_of(job.id)
             if index is not None:
                 self._next_index = max(self._next_index, index + 1)
+            if not job.terminal:
+                try:
+                    job.spec.validate()
+                except (ValueError, TypeError) as exc:
+                    job.state = "failed"
+                    job.error = f"invalid job spec: {exc}"
+                    job.finished_at = time.time()
+                    self.persist(job)
+                    continue
             if job.state == "running":
                 # The previous daemon died mid-job; requeue it — the search
                 # resumes from its last checkpoint in the verdict store.

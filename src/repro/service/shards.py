@@ -38,8 +38,10 @@ from typing import Callable, Dict, List, Optional
 
 from ..bpf.program import BpfProgram
 from ..equivalence import EquivalenceCache
-from ..synthesis.checkpoint import decode_cache_state, encode_cache_state
-from ..synthesis.mcmc import ChainResult, ChainStatistics, VerifiedCandidate
+from ..synthesis.checkpoint import (
+    decode_cache_state, decode_candidate, encode_cache_state, encode_candidate,
+)
+from ..synthesis.mcmc import ChainResult, ChainStatistics
 from ..synthesis.parallel import ChainController
 from ..synthesis.params import all_parameter_settings
 from ..synthesis.search import SearchResult, assemble_search_result
@@ -93,32 +95,16 @@ def encode_chain_result(result: ChainResult) -> dict:
     the head by construction (:meth:`MarkovChain.run`), so it needs no
     separate encoding.
     """
-    from ..synthesis.checkpoint import _encode_insns
-
     return {
         "stats": dataclasses.asdict(result.statistics),
-        "candidates": [{
-            "insns": _encode_insns(candidate.program.instructions),
-            "perf_cost": candidate.perf_cost,
-            "instruction_count": candidate.instruction_count,
-            "estimated_latency": candidate.estimated_latency,
-            "found_at_iteration": candidate.found_at_iteration,
-            "found_at_seconds": candidate.found_at_seconds,
-        } for candidate in result.candidates],
+        "candidates": [encode_candidate(candidate)
+                       for candidate in result.candidates],
     }
 
 
 def decode_chain_result(source: BpfProgram, encoded: dict) -> ChainResult:
-    from ..synthesis.checkpoint import _decode_insns
-
-    candidates = [VerifiedCandidate(
-        program=source.with_instructions(_decode_insns(entry["insns"])),
-        perf_cost=float(entry["perf_cost"]),
-        instruction_count=int(entry["instruction_count"]),
-        estimated_latency=float(entry["estimated_latency"]),
-        found_at_iteration=int(entry["found_at_iteration"]),
-        found_at_seconds=float(entry["found_at_seconds"]),
-    ) for entry in encoded["candidates"]]
+    candidates = [decode_candidate(source, entry)
+                  for entry in encoded["candidates"]]
     return ChainResult(best=candidates[0] if candidates else None,
                        candidates=candidates,
                        statistics=ChainStatistics(**encoded["stats"]))
@@ -135,20 +121,17 @@ def run_shard(spec, shard: dict, store_path: Optional[str],
     """Run one shard's chains to completion; returns the merge payload.
 
     ``spec`` is a :class:`~repro.service.jobs.JobSpec` (the *original*
-    job's spec — iteration counts, seed, engine etc. all read from it);
+    job's spec — iteration counts, seed, goal etc. all read from it);
     ``shard`` is a :func:`plan_shards` descriptor.  Runs in-process: the
     coordinator calls this directly for local shards, and a peer daemon's
     job runner calls it for farmed-out shard sub-jobs.
     """
     program = spec.build_program()
     options = spec.search_options(store_path, checkpoint_key,
-                                  generation_hook)
+                                  generation_hook, progress_listener)
     lo, hi = int(shard["lo"]), int(shard["hi"])
-    options = dataclasses.replace(
-        options,
-        chain_index_offset=lo,
-        progress_listener=progress_listener,
-        window_mode=False)
+    options = dataclasses.replace(options, chain_index_offset=lo,
+                                  window_mode=False)
     if num_workers is not None:
         options = dataclasses.replace(options,
                                       num_workers=max(1, int(num_workers)))
@@ -202,7 +185,7 @@ def merge_shard_payloads(source: BpfProgram, spec, payloads: List[dict],
     if covered != total:
         raise ValueError("shard payloads do not cover every chain")
 
-    options = spec.search_options(None, None)
+    options = spec.search_options()
     settings = all_parameter_settings(options.goal)[:total]
 
     chain_results = [decode_chain_result(source, encoded)

@@ -23,9 +23,7 @@ from .parallel import (
     ChainController, ChainWorkUnit, ChainWorkUnitResult, SearchInterrupted,
     run_chain_generation,
 )
-from .search import (
-    GOALS, SearchOptions, SearchResult, Synthesizer, validate_request,
-)
+from .search import GOALS, SearchOptions, SearchResult, Synthesizer
 from .windows import (
     SegmentWindow, WindowStats, WindowedScheduler, plan_windows, split_budget,
 )

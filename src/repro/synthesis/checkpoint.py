@@ -51,9 +51,10 @@ from ..store.serialize import (
 )
 from .mcmc import ChainStatistics, MarkovChain, VerifiedCandidate
 
-__all__ = ["CHECKPOINT_VERSION", "capture_chain_state", "decode_chain_state",
-           "apply_chain_state", "options_signature",
-           "build_controller_payload", "decode_controller_payload"]
+__all__ = ["CHECKPOINT_VERSION", "encode_candidate", "decode_candidate",
+           "capture_chain_state", "decode_chain_state", "apply_chain_state",
+           "options_signature", "build_controller_payload",
+           "decode_controller_payload"]
 
 #: Bump when the payload layout changes; old checkpoints then read as
 #: incompatible (cold start) instead of being misinterpreted.
@@ -114,6 +115,32 @@ def _decode_insns(encoded: str):
 
 
 # --------------------------------------------------------------------------- #
+# Verified candidates (checkpoints and shard payloads share this layout).
+# --------------------------------------------------------------------------- #
+def encode_candidate(candidate: VerifiedCandidate) -> dict:
+    return {
+        "insns": _encode_insns(candidate.program.instructions),
+        "perf_cost": candidate.perf_cost,
+        "instruction_count": candidate.instruction_count,
+        "estimated_latency": candidate.estimated_latency,
+        "found_at_iteration": candidate.found_at_iteration,
+        "found_at_seconds": candidate.found_at_seconds,
+    }
+
+
+def decode_candidate(source, entry: dict) -> VerifiedCandidate:
+    """The candidate ``entry`` encodes, as a sibling of ``source``."""
+    return VerifiedCandidate(
+        program=source.with_instructions(_decode_insns(entry["insns"])),
+        perf_cost=float(entry["perf_cost"]),
+        instruction_count=int(entry["instruction_count"]),
+        estimated_latency=float(entry["estimated_latency"]),
+        found_at_iteration=int(entry["found_at_iteration"]),
+        found_at_seconds=float(entry["found_at_seconds"]),
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Equivalence-cache snapshots (entries with provenance + counters).
 # --------------------------------------------------------------------------- #
 def encode_cache_state(state: dict) -> dict:
@@ -155,14 +182,8 @@ def capture_chain_state(chain: MarkovChain) -> dict:
         "current": _encode_insns(chain._current),
         "current_cost": float(chain._current_cost),
         "stats": dataclasses.asdict(chain.stats),
-        "verified": [{
-            "insns": _encode_insns(candidate.program.instructions),
-            "perf_cost": candidate.perf_cost,
-            "instruction_count": candidate.instruction_count,
-            "estimated_latency": candidate.estimated_latency,
-            "found_at_iteration": candidate.found_at_iteration,
-            "found_at_seconds": candidate.found_at_seconds,
-        } for candidate in chain.verified],
+        "verified": [encode_candidate(candidate)
+                     for candidate in chain.verified],
         "discovered": [encode_test(test)
                        for test in chain.discovered_counterexamples],
         "suite_extras": [encode_test(test)
@@ -175,26 +196,21 @@ def capture_chain_state(chain: MarkovChain) -> dict:
     }
 
 
-def decode_chain_state(state: dict) -> dict:
+def decode_chain_state(state: dict, source) -> dict:
     """Pure decode pass: raises on malformed data, mutates nothing.
 
     Split from :func:`apply_chain_state` so a corrupt checkpoint is
     rejected *before* any chain has been touched — restore is then
-    all-or-nothing at the controller level.
+    all-or-nothing at the controller level.  ``source`` is the program
+    the chains search (verified candidates are its siblings).
     """
     return {
         "rng": decode_rng_state(state["rng"]),
         "current": _decode_insns(state["current"]),
         "current_cost": float(state["current_cost"]),
         "stats": ChainStatistics(**state["stats"]),
-        "verified": [{
-            "insns": _decode_insns(entry["insns"]),
-            "perf_cost": float(entry["perf_cost"]),
-            "instruction_count": int(entry["instruction_count"]),
-            "estimated_latency": float(entry["estimated_latency"]),
-            "found_at_iteration": int(entry["found_at_iteration"]),
-            "found_at_seconds": float(entry["found_at_seconds"]),
-        } for entry in state["verified"]],
+        "verified": [decode_candidate(source, entry)
+                     for entry in state["verified"]],
         "discovered": [decode_test(test) for test in state["discovered"]],
         "suite_extras": [decode_test(test)
                          for test in state["suite_extras"]],
@@ -220,14 +236,7 @@ def apply_chain_state(chain: MarkovChain, decoded: dict) -> None:
     chain._current = list(decoded["current"])
     chain._current_cost = decoded["current_cost"]
     chain.stats = decoded["stats"]
-    chain.verified = [VerifiedCandidate(
-        program=chain.source.with_instructions(entry["insns"]),
-        perf_cost=entry["perf_cost"],
-        instruction_count=entry["instruction_count"],
-        estimated_latency=entry["estimated_latency"],
-        found_at_iteration=entry["found_at_iteration"],
-        found_at_seconds=entry["found_at_seconds"],
-    ) for entry in decoded["verified"]]
+    chain.verified = list(decoded["verified"])
     chain.discovered_counterexamples = list(decoded["discovered"])
     suite = chain.tests
     del suite.tests[suite.num_initial:]
@@ -332,7 +341,8 @@ def decode_controller_payload(payload: dict, source, settings, options,
             "analysis": [(decode_key(key), decode_outcome(outcome))
                          for key, outcome in payload["analysis"]],
             "store_summary": dict(payload.get("store_summary") or {}),
-            "chains": [decode_chain_state(state) for state in chain_states],
+            "chains": [decode_chain_state(state, source)
+                       for state in chain_states],
         }
     except (KeyError, IndexError, TypeError, ValueError):
         return None

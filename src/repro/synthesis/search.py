@@ -23,46 +23,17 @@ from ..equivalence import EquivalenceOptions
 from ..verification import PipelineStats
 from ..verifier import KernelChecker
 from .cost import PerformanceGoal
-from .executors import EXECUTOR_KINDS
 from .mcmc import ChainResult, VerifiedCandidate
 from .params import ParameterSetting, all_parameter_settings
 from .parallel import ChainController
 
 __all__ = ["GOALS", "SearchOptions", "SearchResult", "Synthesizer",
-           "assemble_search_result", "deduplicate_candidates",
-           "validate_request"]
+           "assemble_search_result", "deduplicate_candidates"]
 
-#: The ``goal`` names of the front ends (``K2Config``, ``JobSpec`` and the
-#: CLI's ``--goal``), mapped to the goal a search optimizes.
+#: The ``goal`` names of the front ends (``K2Config`` and the CLI's
+#: ``--goal``), mapped to the goal a search optimizes.
 GOALS = {"size": PerformanceGoal.INSTRUCTION_COUNT,
          "latency": PerformanceGoal.LATENCY}
-
-
-def validate_request(request) -> None:
-    """Raise ``ValueError`` if ``request`` names a search no run can do.
-
-    ``request`` is a :class:`repro.api.K2Config` or a
-    :class:`repro.service.JobSpec`; both carry the fields read here under
-    the same names, and both validate through this one check, so a spec
-    the daemon accepts is exactly a config the library accepts.
-    """
-    if request.goal not in GOALS:
-        raise ValueError(f"goal must be one of {', '.join(GOALS)}")
-    if request.iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if request.settings <= 0:
-        raise ValueError("settings must be positive")
-    if request.executor not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"executor must be one of {', '.join(EXECUTOR_KINDS)}")
-    if request.window_size < 2 or not \
-            0 <= request.window_overlap < request.window_size:
-        raise ValueError("window_size must be >= 2 and window_overlap "
-                         "must be >= 0 and smaller than window_size")
-    if request.conflict_budget is not None and request.conflict_budget <= 0:
-        raise ValueError("conflict_budget must be positive")
-    if request.shards < 1:
-        raise ValueError("shards must be >= 1")
 
 
 @dataclasses.dataclass

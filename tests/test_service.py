@@ -13,6 +13,7 @@ Layered like the implementation:
   identical to an undisturbed daemon's.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ import time
 import pytest
 
 import repro
+from repro.api import K2Config
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
 from repro.service import DaemonClient, DaemonUnavailable, JobSpec
@@ -263,6 +265,63 @@ class TestJobQueue:
         # knob decodes, with the field ignored.
         assert JobSpec.from_dict(dict(spec.to_dict(), engine="legacy")) == spec
 
+    @pytest.mark.parametrize("goal", ["size", "latency"])
+    def test_job_spec_searches_like_its_config(self, goal):
+        """A job runs the search its config runs in-process: one mapping
+        to ``SearchOptions``, with only the service's generation length
+        differing."""
+        config = K2Config(goal=goal, conflict_budget=5_000,
+                          verify_pipeline="replay,full")
+        in_process = config.search_options()
+        daemon = config.job_spec(benchmark="xdp_pktcntr").search_options(
+            None, None)
+        assert daemon.sync_interval == 250
+        assert dataclasses.replace(daemon, sync_interval=None) == in_process
+
+    def test_spec_naming_a_store_is_refused(self):
+        # The daemon searches on its own shared store; a spec naming
+        # another one would be silently ignored, so it is refused.
+        with pytest.raises(ValueError, match="store"):
+            JobSpec.from_dict({"benchmark": "xdp_pktcntr",
+                               "store": "elsewhere.k2s"})
+        with pytest.raises(ValueError, match="store"):
+            K2Config(store="elsewhere.k2s").job_spec(benchmark="xdp_pktcntr")
+
+    def test_spec_verify_pipeline_reaches_the_search(self):
+        spec = JobSpec.from_dict({"benchmark": "xdp_pktcntr",
+                                  "verify_pipeline": "cache,full"})
+        equivalence = spec.search_options(None, None).equivalence
+        assert (equivalence.interpreter_replay, equivalence.enable_cache,
+                equivalence.modular_verification,
+                equivalence.full_symbolic) == (False, True, False, True)
+
+    def test_journal_keeps_jobs_whose_spec_no_longer_validates(
+            self, tmp_path):
+        """A spec journaled before a knob value was retired (the
+        ``thread`` executor) keeps its job: a finished one replays as it
+        was, an unfinished one replays as failed and never runs.  Only a
+        line that does not decode into a job is skipped."""
+        journal = str(tmp_path / "jobs.jsonl")
+        record = {"id": "j0001", "state": "done",
+                  "spec": {"benchmark": "xdp_pktcntr", "executor": "thread"},
+                  "result": {"best_insns": 3}}
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps(dict(record, id="j0002",
+                                         state="queued", result=None))
+                         + "\n")
+            handle.write(json.dumps(dict(record, id="j0003", spec=None))
+                         + "\n")
+        for _ in range(2):  # the failure is journaled, not re-derived
+            replayed = JobQueue(journal)
+            assert [job.id for job in replayed.jobs()] == ["j0001", "j0002"]
+            done, queued = replayed.jobs()
+            assert done.state == "done" and done.result == {"best_insns": 3}
+            assert done.error is None
+            assert queued.state == "failed" and "executor" in queued.error
+            assert queued.finished_at is not None
+            assert replayed.next_runnable() is None
+
     def test_journal_replay_requeues_running_jobs(self, tmp_path):
         journal = str(tmp_path / "jobs.jsonl")
         queue = JobQueue(journal)
@@ -453,6 +512,9 @@ class TestDaemonEndToEnd:
             harness.client.status("j9999")
         with pytest.raises(ValueError):
             harness.client.submit(JobSpec())  # no program at all
+        with pytest.raises(ValueError, match="store"):
+            harness.client.submit(JobSpec(benchmark="xdp_pktcntr",
+                                          store="elsewhere.k2s"))
         response = harness.client.request({"op": "frobnicate"})
         assert response["ok"] is False
         # ...and the daemon is still alive and serving afterwards.

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import K2Config
+from repro.api import K2Config, optimize
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapDef, MapEnvironment, MapType
 from repro.bpf.transforms import remove_nops
@@ -210,10 +210,12 @@ class TestMarkovChain:
 
 
 class TestK2Compiler:
+    """The in-process entry point, ``api.optimize``."""
+
     def test_compiler_end_to_end_on_small_program(self):
         source = prog(REDUNDANT)
-        compiler = K2Config(iterations=400, settings=1, seed=2).compiler()
-        result = compiler.optimize(source)
+        result = optimize(source, K2Config(iterations=400, settings=1,
+                                           seed=2))
         assert result.kernel_checker_verdict.accepted
         assert result.optimized.num_real_instructions <= \
             source.num_real_instructions
@@ -222,20 +224,18 @@ class TestK2Compiler:
 
     def test_compiler_never_degrades(self):
         source = prog("mov64 r0, 2\nexit")
-        compiler = K2Config(iterations=50, settings=1, seed=0).compiler()
-        result = compiler.optimize(source)
+        result = optimize(source, K2Config(iterations=50, settings=1,
+                                           seed=0))
         assert result.optimized.num_real_instructions <= 2
         assert result.compression_percent >= 0.0
 
     def test_latency_goal(self):
         source = prog(REDUNDANT)
-        compiler = K2Config(goal="latency", iterations=200, settings=1,
-                            seed=4).compiler()
-        result = compiler.optimize(source)
+        result = optimize(source, K2Config(goal="latency", iterations=200,
+                                           settings=1, seed=4))
         assert result.estimated_latency_gain >= 0.0
 
     def test_summary_mentions_instruction_counts(self):
         source = prog("mov64 r0, 2\nexit")
-        result = K2Config(iterations=20, settings=1).compiler() \
-            .optimize(source)
+        result = optimize(source, K2Config(iterations=20, settings=1))
         assert "instructions" in result.summary()

@@ -313,10 +313,9 @@ class TestWindowedCli:
                   "--window-size", "4", "--window-overlap", "4"])
 
     def test_compiler_kwargs_thread_through(self):
-        """``K2Config``'s window fields reach the ``SearchOptions`` its
-        compiler runs with."""
+        """``K2Config``'s window fields reach the ``SearchOptions`` it
+        searches with."""
         config = K2Config(windowed=True, window_size=12, window_overlap=3)
         options = config.search_options()
         assert (options.window_mode, options.window_size,
                 options.window_overlap) == (True, 12, 3)
-        assert config.compiler().options == options
