@@ -23,7 +23,7 @@ flag a field, which keeps the two from drifting.  A daemon job's
 :meth:`K2Config.search_options` is the one mapping to the library's
 :class:`~repro.synthesis.SearchOptions`, so one request means one search
 in-process, in the daemon and across shards.  There is no engine
-option: every search runs on the fused execution engine.
+option: every search runs on the decode-once execution engine.
 """
 
 from __future__ import annotations

@@ -24,6 +24,9 @@ from .opcodes import (
 __all__ = ["Instruction", "NOP"]
 
 _U64 = (1 << 64) - 1
+#: ``InsnClass`` members indexed by ``opcode & 0x07``: the class lookup runs
+#: on every predicate, and indexing a tuple avoids constructing the enum.
+_INSN_CLASSES = tuple(InsnClass(value) for value in range(8))
 _ALU_CLASSES = (InsnClass.ALU, InsnClass.ALU64)
 _JMP_CLASSES = (InsnClass.JMP, InsnClass.JMP32)
 _MEM_CLASSES = (InsnClass.LD, InsnClass.LDX, InsnClass.ST, InsnClass.STX)
@@ -64,7 +67,7 @@ class Instruction:
     # ------------------------------------------------------------------ #
     @property
     def insn_class(self) -> InsnClass:
-        return InsnClass(self.opcode & 0x07)
+        return _INSN_CLASSES[self.opcode & 0x07]
 
     @property
     def is_alu(self) -> bool:
@@ -184,12 +187,12 @@ class Instruction:
 
     @property
     def is_nop(self) -> bool:
-        """The canonical NOP used by the synthesizer: ``ja +0``."""
-        return (
-            self.insn_class == InsnClass.JMP
-            and (self.opcode & 0xF0) == JmpOp.JA
-            and self.off == 0
-        )
+        """The canonical NOP used by the synthesizer: ``ja +0``.
+
+        Class ``JMP`` and operation ``JA`` in one mask: every bit but the
+        source-operand bit (0x08) is fixed.
+        """
+        return (self.opcode & 0xF7) == 0x05 and self.off == 0
 
     # ------------------------------------------------------------------ #
     # Register def/use sets (used by liveness, SSA, and proposal rules)

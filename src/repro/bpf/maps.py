@@ -315,7 +315,7 @@ class MapState:
         output construction.  Non-dirty entries are zero by invariant, so
         the pristine base dict plus the dirty entries is the same mapping.
         A fully pristine map returns the shared base dict itself — callers
-        (the fused engine's output construction) treat snapshots as
+        (the engine's output construction) treat snapshots as
         immutable, which every in-tree consumer already does.
         """
         if self.definition.map_type in self._ARRAY_LIKE:

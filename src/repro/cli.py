@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import signal
 import sys
 
@@ -467,7 +468,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     buffered verdict-store records are flushed before exiting 130, so an
     interrupted warm-started run keeps everything it learned.  ``k2 serve``
     installs its own graceful handlers once the daemon starts, which
-    supersede this wrapper's.
+    supersede this wrapper's.  A reader that closes standard output early
+    (``k2 optimize ... | head``) gets the same store flush and a silent
+    exit 1.
     """
     try:
         signal.signal(signal.SIGTERM, _raise_interrupt)
@@ -476,7 +479,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     service_commands = ("submit", "status", "result", "cancel", "jobs",
                         "watch", "shutdown")
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A closed pipe must surface here, not in the flush at exit.
+        sys.stdout.flush()
+        return status
     except KeyboardInterrupt:
         from .store import flush_open_stores
 
@@ -484,6 +490,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         note = f" ({flushed} store records flushed)" if flushed else ""
         print(f"k2 {args.command}: interrupted{note}", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        from .store import flush_open_stores
+
+        flush_open_stores()
+        # Python flushes stdout again at exit; writing to devnull instead
+        # keeps that flush from raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except Exception as exc:
         if args.command in service_commands:
             from .service import DaemonUnavailable

@@ -139,7 +139,7 @@ def _write_mem_bytes(machine, address: int, data: bytes, pc: int) -> None:
     if region is MemRegion.STACK:
         machine.stack_initialized[offset:offset + len(data)] = b"\x01" * len(data)
     elif region is MemRegion.PACKET:
-        # Invalidates the fused runner's image-cached packet output.
+        # Invalidates the engine's image-cached packet output.
         machine.packet_dirty = True
 
 
@@ -517,8 +517,7 @@ def _compile_store(insn: Instruction, strict: bool) -> MicroOp:
         if region is MemRegion.STACK:
             machine.stack_initialized[offset:offset + width] = stack_ones
         elif region is MemRegion.PACKET:
-            # The fused engine replays near-limit traces through these
-            # micro-ops; the flag invalidates its image-cached packet.
+            # Invalidates the engine's image-cached packet output.
             machine.packet_dirty = True
         return pc + 1
     return op

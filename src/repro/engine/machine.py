@@ -23,7 +23,7 @@ engine tests run both engines over batches to enforce this).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..bpf.hooks import Hook
 from ..bpf.maps import MapEnvironment
@@ -78,19 +78,14 @@ class ResettableMachine(MachineState):
         self.helper_trace: List[tuple] = []
         #: Set by the EXIT micro-op; read by the engine's run loop.
         self.exit_value: Optional[int] = None
-        #: Step/cost counters spilled by fused blocks on a fault, so the
-        #: fused runner reports exact progress (the counters live in block
-        #: locals while a superinstruction executes).
-        self.fused_steps = 0
-        self.fused_est = 0.0
-        #: Identity-keyed cache of reset images (see :meth:`reset_images`).
+        #: Identity-keyed cache of reset images (see :meth:`reset_cached`).
         self._image_cache: "OrderedDict[int, tuple]" = OrderedDict()
         #: True once anything may have written packet bytes this run (set
-        #: by fused packet stores and the helper byte-write path); gates
+        #: by the store micro-op and the helper byte-write path); gates
         #: the image-cached packet output below.
         self.packet_dirty = False
         #: Post-reset packet output/extent of the restored image, letting
-        #: the fused runner reuse the image's packet bytes when a run never
+        #: the engine reuse the image's packet bytes when a run never
         #: touched the packet (None outside image-based resets).
         self._image_packet_out: Optional[bytes] = None
         self._image_packet_end = 0
@@ -146,7 +141,7 @@ class ResettableMachine(MachineState):
         """Per-fd map snapshots via the dirty-aware fast path.
 
         Equal to ``snapshot_maps()`` (the differential batteries compare
-        them bit-for-bit); used by the fused engine's output construction.
+        them bit-for-bit); used by the engine's output construction.
         When every map is pristine the whole per-fd dict is served from a
         per-machine cache — snapshots are treated as immutable by every
         consumer, so sharing the mapping is safe.
@@ -170,9 +165,7 @@ class ResettableMachine(MachineState):
     # replaying ``test.map_contents`` through the map-helper path.  A reset
     # *image* captures the post-reset machine state once per test — the
     # fully built packet row, ctx row and per-map content images — so every
-    # later rewind for the same test is a handful of buffer copies.  The
-    # batch runner treats the per-test rows as the packet/ctx matrix one
-    # candidate is replayed over.
+    # later rewind for the same test is a handful of buffer copies.
     # ------------------------------------------------------------------ #
     def reset_image(self, test: ProgramInput) -> tuple:
         """Reset for ``test`` and capture the state as a restore image.
@@ -187,29 +180,28 @@ class ResettableMachine(MachineState):
                       for fd, state in self.maps.items()),
                 self.packet_end, self.packet_bytes())
 
-    def reset_images(self, tests: Sequence[ProgramInput]) -> list:
-        """Reset images for a batch, cached by test-object identity.
+    def reset_cached(self, test: ProgramInput) -> None:
+        """Rewind for ``test`` from its reset image, building it first.
 
         Hot-loop consumers replay stable test objects (the synthesis test
         suite, the verification pipeline's counterexample pool) across
         thousands of candidates, so the images are cached keyed on
         ``id(test)`` with an identity check; the entry keeps the test
-        object alive, so ids cannot be reused while cached.
+        object alive, so ids cannot be reused while cached.  An image is
+        built only when a batch reaches its test, so a batch that stops
+        early pays nothing for the tests it never ran.
         """
         cache = self._image_cache
-        images = []
-        for test in tests:
-            entry = cache.get(id(test))
-            if entry is not None and entry[0] is test:
-                cache.move_to_end(id(test))
-                images.append(entry[1])
-                continue
+        entry = cache.get(id(test))
+        if entry is not None and entry[0] is test:
+            cache.move_to_end(id(test))
+            image = entry[1]
+        else:
             image = self.reset_image(test)
             cache[id(test)] = (test, image)
             if len(cache) > _IMAGE_CACHE_SIZE:
                 cache.popitem(last=False)
-            images.append(image)
-        return images
+        self.reset_from_image(image)
 
     def reset_from_image(self, image: tuple) -> None:
         """Rewind to a captured image (bit-identical to ``reset(test)``)."""

@@ -30,7 +30,7 @@ from ..bpf.instruction import Instruction
 from ..bpf.maps import MapDef, MapEnvironment, MapType
 from ..bpf.opcodes import MemSize
 from ..bpf.program import BpfProgram
-from ..engine import FusedEngine
+from ..engine import ExecutionEngine
 from ..interpreter import ProgramInput
 from .latency_model import OpcodeLatencyModel
 
@@ -108,7 +108,7 @@ class OpcodeProfiler:
         # program is decoded once and timed many times, so the numbers
         # reflect steady-state execution, not decode overhead.
         self.engine = engine if engine is not None \
-            else FusedEngine(step_limit=1_000_000)
+            else ExecutionEngine(step_limit=1_000_000)
 
     # ------------------------------------------------------------------ #
     def run(self, categories: Optional[Sequence[str]] = None) -> ProfileReport:

@@ -27,7 +27,7 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from ..bpf.program import BpfProgram
-from ..engine import FusedEngine
+from ..engine import ExecutionEngine
 from ..interpreter import ProgramInput
 from ..synthesis.testcases import TestCaseGenerator
 from .latency_model import DEFAULT_LATENCY_MODEL, OpcodeLatencyModel
@@ -78,7 +78,7 @@ class DeviceUnderTest:
         # One long-lived engine per DUT: the program is decoded once and the
         # per-opcode cost table folded into the decoded form, then reused
         # for every packet of every load sweep.
-        self._engine = FusedEngine(
+        self._engine = ExecutionEngine(
             opcode_cost_fn=latency_model.instruction_cost)
 
     def service_times_ns(self, traffic: Sequence[ProgramInput]) -> List[float]:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from ..analysis import AbstractAnalyzer
 from ..bpf.program import BpfProgram
-from ..engine import FusedEngine
+from ..engine import ExecutionEngine
 from ..equivalence import EquivalenceCache, EquivalenceResult
 from ..perf.latency_model import DEFAULT_LATENCY_MODEL, OpcodeLatencyModel
 from ..safety import SafetyChecker
@@ -142,7 +142,7 @@ class MarkovChain:
         # program and its proposals are decoded once for both.  Any engine
         # instance (or the legacy interpreter) may be passed in.
         if engine is None:
-            engine = FusedEngine()
+            engine = ExecutionEngine()
         self.engine = engine
         self.tests = test_suite or TestSuite(source, seed=seed, engine=engine)
         # The verification pipeline owns the equivalence options and the

@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.analyzer import AbstractAnalyzer, AnalysisOutcome
 from ..bpf.program import BpfProgram
-from ..engine import FusedEngine
+from ..engine import ExecutionEngine
 from ..equivalence import EquivalenceCache
 from ..equivalence.checker import EquivalenceResult
 from ..interpreter import ProgramInput
@@ -585,7 +585,7 @@ class ChainController:
         # One engine per chain, shared between its test suite and its
         # verification pipeline (chains must not share engines: each is
         # shipped whole to a worker).
-        engine = FusedEngine()
+        engine = ExecutionEngine()
         suite = TestSuite(self.source, seed=options.seed + index,
                           engine=engine)
         # With a durable store, warm the chain's cache at construction time:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from ..bpf.hooks import CtxFieldKind
 from ..bpf.program import BpfProgram
-from ..engine import FusedEngine
+from ..engine import ExecutionEngine
 from ..interpreter import ProgramInput, ProgramOutput, StopPredicate
 
 __all__ = ["TestCaseGenerator", "TestSuite"]
@@ -100,7 +100,7 @@ class TestSuite:
         self.source = source
         # One long-lived engine per suite: its decode cache persists across
         # every candidate evaluation of the owning chain.
-        self.engine = engine if engine is not None else FusedEngine()
+        self.engine = engine if engine is not None else ExecutionEngine()
         self.generator = TestCaseGenerator(source, seed=seed)
         #: How many leading tests are seed-generated (everything after them
         #: is an accumulated counterexample — the part a checkpoint stores;

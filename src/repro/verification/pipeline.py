@@ -33,7 +33,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..bpf.program import BpfProgram
-from ..engine import FusedEngine
+from ..engine import ExecutionEngine
 from ..equivalence import (
     EquivalenceCache, EquivalenceChecker, EquivalenceOptions,
     EquivalenceResult, Window, WindowEquivalenceChecker,
@@ -186,7 +186,7 @@ class VerificationPipeline:
         # One long-lived execution engine feeds the replay stage (and is
         # shared with the owning chain's test suite when the caller passes
         # the same instance).
-        self.engine = engine if engine is not None else FusedEngine()
+        self.engine = engine if engine is not None else ExecutionEngine()
         self.checker = EquivalenceChecker(self.options)
         self.window_checker = WindowEquivalenceChecker(self.options)
         if stages is not None:

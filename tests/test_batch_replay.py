@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus import get_benchmark
-from repro.engine import ExecutionEngine, FusedEngine
+from repro.engine import ExecutionEngine
 from repro.interpreter import Interpreter
 from repro.synthesis.proposals import ProposalGenerator
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
@@ -37,8 +37,7 @@ from test_engine import output_fingerprint
 BENCHMARKS = ["xdp_exception", "xdp_pktcntr", "xdp_map_access"]
 
 #: Every engine the suite compares, by the name its test ids carry.
-ENGINES = {"fused": FusedEngine, "decoded": ExecutionEngine,
-           "legacy": Interpreter}
+ENGINES = {"decoded": ExecutionEngine, "legacy": Interpreter}
 
 
 def _candidate(name, mutations, seed):

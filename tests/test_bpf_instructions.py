@@ -7,6 +7,8 @@ from repro.bpf import (
     JA, JEQ_IMM, JmpOp, LD_MAP_FD, LDDW, LDX_MEM, MemSize, MOV64_IMM,
     MOV64_REG, NOP, NOP_INSN, ST_MEM, STX_MEM, STX_XADD,
 )
+from repro.bpf.instruction import Instruction
+from repro.bpf.opcodes import MemMode
 
 
 class TestInstructionClassification:
@@ -108,3 +110,77 @@ class TestInstructionClassification:
         assert MOV64_IMM(0, 0).insn_class == InsnClass.ALU64
         assert JEQ_IMM(0, 0, 0).insn_class == InsnClass.JMP
         assert LDX_MEM(MemSize.B, 0, 1, 0).insn_class == InsnClass.LDX
+
+
+def _cls(opcode):
+    return InsnClass(opcode & 0x07)
+
+
+def _mode(opcode):
+    return MemMode(opcode & 0xE0)
+
+
+#: The enum-constructing definitions of the class predicates: the fast
+#: ones must return the same value, or raise the same error, on every
+#: encoding.
+_ENUM_PREDICATES = {
+    "insn_class": lambda o, off: _cls(o),
+    "is_alu": lambda o, off: _cls(o) in (InsnClass.ALU, InsnClass.ALU64),
+    "is_alu64": lambda o, off: _cls(o) == InsnClass.ALU64,
+    "is_jump": lambda o, off: _cls(o) in (InsnClass.JMP, InsnClass.JMP32),
+    "is_jump32": lambda o, off: _cls(o) == InsnClass.JMP32,
+    "is_lddw": lambda o, off: (_cls(o) == InsnClass.LD
+                               and _mode(o) == MemMode.IMM
+                               and MemSize(o & 0x18) == MemSize.DW),
+    "is_load": lambda o, off: (_cls(o) == InsnClass.LDX
+                               and _mode(o) == MemMode.MEM),
+    "is_store": lambda o, off: (_cls(o) in (InsnClass.ST, InsnClass.STX)
+                                and _mode(o) == MemMode.MEM),
+    "is_store_imm": lambda o, off: (_cls(o) == InsnClass.ST
+                                    and _mode(o) == MemMode.MEM),
+    "is_store_reg": lambda o, off: (_cls(o) == InsnClass.STX
+                                    and _mode(o) == MemMode.MEM),
+    "is_xadd": lambda o, off: (_cls(o) == InsnClass.STX
+                               and _mode(o) == MemMode.XADD),
+    "is_call": lambda o, off: (_cls(o) == InsnClass.JMP
+                               and (o & 0xF0) == JmpOp.CALL),
+    "is_exit": lambda o, off: (_cls(o) == InsnClass.JMP
+                               and (o & 0xF0) == JmpOp.EXIT),
+    "is_unconditional_jump": lambda o, off: (_cls(o) == InsnClass.JMP
+                                             and (o & 0xF0) == JmpOp.JA),
+    "is_conditional_jump": lambda o, off: (
+        _cls(o) in (InsnClass.JMP, InsnClass.JMP32)
+        and JmpOp(o & 0xF0) not in (JmpOp.JA, JmpOp.CALL, JmpOp.EXIT)),
+    "is_nop": lambda o, off: (_cls(o) == InsnClass.JMP
+                              and (o & 0xF0) == JmpOp.JA and off == 0),
+}
+_ENUM_PREDICATES["is_memory"] = lambda o, off: (
+    _ENUM_PREDICATES["is_load"](o, off)
+    or _ENUM_PREDICATES["is_store"](o, off)
+    or _ENUM_PREDICATES["is_xadd"](o, off))
+_ENUM_PREDICATES["is_branch"] = lambda o, off: (
+    _ENUM_PREDICATES["is_conditional_jump"](o, off)
+    or _ENUM_PREDICATES["is_unconditional_jump"](o, off)
+    or _ENUM_PREDICATES["is_exit"](o, off))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_predicates_equal_enum_definitions_on_every_encoding():
+    predicates = sorted(name for name in dir(Instruction)
+                        if name.startswith("is_") or name == "insn_class")
+    assert sorted(_ENUM_PREDICATES) == predicates
+    for opcode in range(256):
+        for off in (-1, 0, 1):
+            insn = Instruction(opcode=opcode, off=off)
+            for name, reference in _ENUM_PREDICATES.items():
+                got = _outcome(lambda: getattr(insn, name))
+                want = _outcome(lambda: reference(opcode, off))
+                assert got == want and type(got) is type(want), (
+                    f"{name} on opcode {opcode:#04x} off {off}: "
+                    f"{got!r} != {want!r}")

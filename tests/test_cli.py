@@ -1,9 +1,13 @@
 """Tests for the ``k2`` command-line interface (repro.cli)."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.api import K2Config
 from repro.cli import build_parser, main
 
@@ -60,6 +64,28 @@ class TestOptimizeCommand:
                      "--settings", "1", "--seed", "1"])
         assert code == 0
         assert "exit" in capsys.readouterr().out
+
+
+    def test_closed_stdout_exits_quietly(self):
+        # ``k2 optimize ... | head``: the reader is gone before the summary
+        # is printed.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "optimize",
+                 "--benchmark", "xdp_pktcntr", "--iterations", "20",
+                 "--settings", "1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
 
 class TestArgumentValidation:

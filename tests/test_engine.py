@@ -268,6 +268,17 @@ class TestRunBatch:
         assert [output.fault is None for output in outputs] == \
             [True, False, True]
 
+    def test_early_stop_builds_one_reset_image(self):
+        # Reset images are built as the batch reaches each test, so a batch
+        # that stops at the first test pays for one image, not the suite.
+        program = get_benchmark("xdp_exception").program()
+        tests = InputGenerator(program, seed=3).generate(20)
+        engine = ExecutionEngine()
+        outputs = engine.run_batch(program, tests,
+                                   stop=lambda index, output: True)
+        assert len(outputs) == 1
+        assert len(engine._machine._image_cache) == 1
+
 
 # --------------------------------------------------------------------------- #
 # Pickling, run_program churn fix

@@ -1,4 +1,4 @@
-"""Early exits of the default engine's ``run_batch`` against sequential runs.
+"""Early exits of the engine's ``run_batch`` against sequential runs.
 
 The replay stage hands ``run_batch`` a ``stop`` predicate over the source
 program's precomputed ``observable()`` tuples; the engine must stop at the
@@ -8,7 +8,7 @@ for the same call.
 
 from repro.bpf import assemble
 from repro.corpus import get_benchmark
-from repro.engine import FusedEngine
+from repro.engine import ExecutionEngine
 from repro.interpreter import Interpreter
 from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 
@@ -34,8 +34,7 @@ class TestAdaptiveReplay:
             return output.observable() != observables[index]
 
         sequential = Interpreter().run_batch(candidate, tests, stop=diverged)
-        fused = FusedEngine(promote_after=1).run_batch(
-            candidate, tests, stop=diverged)
-        assert len(fused) == len(sequential)
-        for a, b in zip(sequential, fused):
+        batched = ExecutionEngine().run_batch(candidate, tests, stop=diverged)
+        assert len(batched) == len(sequential)
+        for a, b in zip(sequential, batched):
             assert output_fingerprint(a) == output_fingerprint(b)

@@ -32,7 +32,7 @@ import random
 import pytest
 
 from repro.corpus import get_benchmark
-from repro.engine import FusedEngine
+from repro.engine import ExecutionEngine
 from repro.service.daemon import summarize_search_result
 from repro.synthesis import SearchInterrupted, SearchOptions, Synthesizer
 from repro.synthesis.cost import (
@@ -153,7 +153,7 @@ class TestErrorTally:
     def test_error_cost_matches_reference_and_bounds_prefixes(self,
                                                               setting_id):
         settings = _setting(setting_id).cost
-        engine = FusedEngine()
+        engine = ExecutionEngine()
         for name, seed in (("xdp_pktcntr", 1), ("xdp2", 2),
                            ("xdp_map_access", 3)):
             source = get_benchmark(name).program()

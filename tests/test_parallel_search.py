@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import AbstractAnalyzer
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
-from repro.engine import FusedEngine
+from repro.engine import ExecutionEngine
 from repro.equivalence import EquivalenceCache
 from repro.equivalence.checker import EquivalenceResult
 from repro.synthesis import (
@@ -53,7 +53,7 @@ class TestSerialMatchesLegacy:
         # verification pipeline (private cache, shared analyzer).
         legacy = []
         for index, setting in enumerate(settings):
-            engine = FusedEngine()
+            engine = ExecutionEngine()
             suite = SynthTestSuite(source, seed=options.seed + index,
                                    engine=engine)
             pipeline = VerificationPipeline(options=options.equivalence,
