@@ -6,7 +6,7 @@ every eligible store instruction, a few single-window candidate rewrites
 candidate through the tiered :class:`repro.verification.VerificationPipeline`
 under four configurations:
 
-* **all opts** — the full pipeline (replay → cache → window → full) with one
+* **all opts** — the full pipeline (cache → window → full) with one
   *incremental* solver session per source: the source encoding is blasted
   once, each query runs in a push/pop scope, learned clauses carry over.
 * **fresh/query** — the same stage logic but with a fresh pipeline per query
@@ -17,7 +17,7 @@ under four configurations:
   aggregate and a *per-program* floor (``MIN_PROGRAM_SPEEDUP``) on every
   row, so one program where the incremental session stops paying fails
   the bench even when the others carry the aggregate.
-* **no modular** — ablates §5 IV: stages ``replay,cache,full`` only, so every
+* **no modular** — ablates §5 IV: stages ``cache,full`` only, so every
   query pays the full-program formula.
 * **no offset concr.** — ablates §5 III on top of no-modular: symbolic
   aliasing clauses instead of compile-time offsets.
@@ -26,11 +26,17 @@ under four configurations:
 this reproduction's encoding and cannot be disabled without changing its
 soundness; see EXPERIMENTS.md.)
 
+Each timed leg starts with a full garbage collection: a generation-2
+collection costs tens of milliseconds and otherwise lands in whichever leg
+crosses the collector's threshold, which depends on the allocations of
+the legs before it rather than on the leg itself.
+
 Environment knobs: ``K2_BENCH_SMOKE=1`` shrinks the benchmark list and the
 workload for CI smoke runs; ``K2_BENCH_JSON=path`` writes a JSON summary of
 the printed rows (the ``BENCH_*.json`` perf trajectory).
 """
 
+import gc
 import json
 import os
 import time
@@ -86,6 +92,7 @@ def _workload(source):
 def _run_incremental(source, work, options):
     """One persistent pipeline: incremental sessions across all queries."""
     pipeline = VerificationPipeline(options=options)
+    gc.collect()
     started = time.perf_counter()
     verdicts = [pipeline.verify(source, candidate, window=window).result.equivalent
                 for candidate, window in work]
@@ -95,6 +102,7 @@ def _run_incremental(source, work, options):
 def _run_fresh(source, work, options):
     """Fresh pipeline per query (pre-refactor cost structure, shared cache)."""
     cache = EquivalenceCache()
+    gc.collect()
     started = time.perf_counter()
     verdicts = []
     for candidate, window in work:
@@ -120,10 +128,10 @@ def _run_all():
         assert verdicts == fresh_verdicts, \
             "incremental and fresh solving must agree on every verdict"
         no_modular, _ = _run_incremental(
-            source, work, EquivalenceOptions.from_stages("replay,cache,full"))
+            source, work, EquivalenceOptions.from_stages("cache,full"))
         no_offsets, _ = _run_incremental(
             source, work, EquivalenceOptions.from_stages(
-                "replay,cache,full", memory_offset_concretization=False))
+                "cache,full", memory_offset_concretization=False))
 
         total_incremental += all_opts
         total_fresh += fresh

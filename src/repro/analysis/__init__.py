@@ -4,8 +4,8 @@ One product domain — pointer provenance × tnums (known bits) × value
 intervals — analyzed over basic blocks with per-block input-state
 memoization, so the synthesis hot loop only re-analyzes the blocks an MCMC
 proposal actually changed.  Powers :class:`repro.safety.SafetyChecker`,
-:class:`repro.verifier.KernelChecker` and the verification pipeline's
-static-safety pre-stage; :func:`states_before` exposes the same analysis
+:class:`repro.verifier.KernelChecker` and the windowed scheduler's check
+of the stitched program; :func:`states_before` exposes the same analysis
 per instruction for window preconditions (§5 opt. IV), window planning and
 the peephole baseline.
 """

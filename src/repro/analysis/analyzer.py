@@ -3,8 +3,8 @@
 :class:`AbstractAnalyzer` runs the fused product domain
 (:mod:`repro.analysis.domains`) over a program's basic blocks and produces
 the complete §6 verdict — the engine behind
-:class:`repro.safety.SafetyChecker` and the pipeline's static-safety
-pre-stage.  :func:`states_before` walks the same blocks with the same
+:class:`repro.safety.SafetyChecker` and the windowed scheduler's check of
+the stitched program.  :func:`states_before` walks the same blocks with the same
 transfer, refinement and joins but records the state before every
 instruction instead of checking it: the per-point facts that window
 preconditions (§5 opt. IV), window planning and the peephole baseline read.

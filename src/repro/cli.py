@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "use)")
     optimize.add_argument("--verify-pipeline", default=None, metavar="STAGES",
                           help="comma-separated verification stages to enable, "
-                               "in escalation order, from: replay, cache, "
-                               "window, full (default: all four); e.g. "
+                               "in escalation order, from: cache, window, "
+                               "full (default: all three); e.g. "
                                "--verify-pipeline cache,full reproduces a "
                                "Table 4 ablation configuration")
     optimize.set_defaults(func=_cmd_optimize)

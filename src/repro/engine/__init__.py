@@ -10,8 +10,7 @@ The package splits execution into three layers:
 * :mod:`repro.engine.engine` — the :class:`ExecutionEngine` run loop and
   the batched ``run_batch`` API.
 
-Every search, test suite, verification pipeline and perf rig runs on
-:class:`ExecutionEngine`.  The :class:`repro.interpreter.Interpreter` is the
+Every search, test suite and perf rig runs on :class:`ExecutionEngine`.  The :class:`repro.interpreter.Interpreter` is the
 behavioural oracle the differential tests compare it against.  Outputs are
 bit-identical across the two; the engine only changes *when* dispatch and
 allocation work happens.

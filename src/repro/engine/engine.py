@@ -15,12 +15,11 @@ them out of the loop:
 ``run(program, test)`` matches ``Interpreter.run`` exactly;
 ``run_batch(program, tests)`` amortizes the decode and machine setup over a
 whole test suite, which is the shape of every hot-loop consumer (the MCMC
-accept/reject step, the verification pipeline's replay stage, the perf rig).
+accept/reject step, the perf rig).
 It also rewinds the machine from cached per-test reset images, and a run
 that never touched the packet returns its image's packet bytes.
 
-Every search, test suite, verification pipeline and perf rig builds an
-:class:`ExecutionEngine`.  It and the legacy interpreter expose the same
+Every search, test suite and perf rig builds an :class:`ExecutionEngine`.  It and the legacy interpreter expose the same
 ``run`` / ``run_batch`` surface, so either can be passed wherever an engine
 instance is accepted.
 """
@@ -115,10 +114,9 @@ class ExecutionEngine:
         ``stop(index, output)`` is the batch's one early exit: it is called
         after each test, and the batch ends as soon as it returns true.  The
         output it was called with is included, so a returned list shorter
-        than ``tests`` ends at the output that stopped it.  The replay stage
-        stops at the first output that diverges from the source (the
-        refuting test is ``result[-1]``); the MCMC step stops once its
-        Metropolis-Hastings step is already lost.
+        than ``tests`` ends at the output that stopped it: the MCMC step
+        stops once its Metropolis-Hastings step is already lost, and a
+        first-divergence stop leaves the refuting test at ``result[-1]``.
 
         Each test rewinds the machine from its cached reset image, built
         the first time the loop reaches that test object.

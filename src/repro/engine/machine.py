@@ -184,24 +184,26 @@ class ResettableMachine(MachineState):
         """Rewind for ``test`` from its reset image, building it first.
 
         Hot-loop consumers replay stable test objects (the synthesis test
-        suite, the verification pipeline's counterexample pool) across
-        thousands of candidates, so the images are cached keyed on
-        ``id(test)`` with an identity check; the entry keeps the test
-        object alive, so ids cannot be reused while cached.  An image is
-        built only when a batch reaches its test, so a batch that stops
-        early pays nothing for the tests it never ran.
+        suite) across thousands of candidates, so the images are cached
+        keyed on ``id(test)`` with an identity check; the entry keeps the
+        test object alive, so ids cannot be reused while cached.  An image
+        is built only when a batch reaches its test, so a batch that stops
+        early pays nothing for the tests it never ran.  Building it leaves
+        the machine freshly reset, so a miss installs only the image's
+        packet output and extent instead of restoring the whole image.
         """
         cache = self._image_cache
         entry = cache.get(id(test))
         if entry is not None and entry[0] is test:
             cache.move_to_end(id(test))
-            image = entry[1]
-        else:
-            image = self.reset_image(test)
-            cache[id(test)] = (test, image)
-            if len(cache) > _IMAGE_CACHE_SIZE:
-                cache.popitem(last=False)
-        self.reset_from_image(image)
+            self.reset_from_image(entry[1])
+            return
+        image = self.reset_image(test)
+        cache[id(test)] = (test, image)
+        if len(cache) > _IMAGE_CACHE_SIZE:
+            cache.popitem(last=False)
+        self._image_packet_out = image[5]
+        self._image_packet_end = image[4]
 
     def reset_from_image(self, image: tuple) -> None:
         """Rewind to a captured image (bit-identical to ``reset(test)``)."""

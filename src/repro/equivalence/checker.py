@@ -54,9 +54,9 @@ class EquivalenceOptions:
 
     This is the *single* options object for the whole candidate-validation
     path: it is owned by :class:`repro.verification.VerificationPipeline`,
-    which hands the same instance to every stage (interpreter replay, cache,
-    window checking, full symbolic checking).  The four ``stage`` toggles
-    map one-to-one onto pipeline stages — see :meth:`stage_names`.
+    which hands the same instance to every stage (cache, window checking,
+    full symbolic checking).  The three ``stage`` toggles map one-to-one
+    onto pipeline stages — see :meth:`stage_names`.
     """
 
     #: I — separate read/write tables per memory region.
@@ -70,9 +70,6 @@ class EquivalenceOptions:
     modular_verification: bool = True
     #: V — cache of canonicalized programs; the pipeline's ``cache`` stage.
     enable_cache: bool = True
-    #: Replay candidates against pooled counterexamples before any solver
-    #: work; the pipeline's ``replay`` stage.
-    interpreter_replay: bool = True
     #: Full-program symbolic equivalence; the pipeline's ``full`` stage.
     #: Disabling it (a Table-4-style ablation) makes the pipeline report
     #: "unknown" for whatever the earlier stages cannot decide.
@@ -81,8 +78,7 @@ class EquivalenceOptions:
     max_conflicts: int = 2_000_000
 
     #: Pipeline stage order, mapped to the toggle controlling each stage.
-    STAGE_TOGGLES = (("replay", "interpreter_replay"),
-                     ("cache", "enable_cache"),
+    STAGE_TOGGLES = (("cache", "enable_cache"),
                      ("window", "modular_verification"),
                      ("full", "full_symbolic"))
 
@@ -95,7 +91,7 @@ class EquivalenceOptions:
     def from_stages(cls, stages: str, **kwargs) -> "EquivalenceOptions":
         """Build options from a comma-separated stage list.
 
-        ``EquivalenceOptions.from_stages("replay,cache,full")`` is the
+        ``EquivalenceOptions.from_stages("cache,full")`` is the
         one-line way to express a Table 4 ablation configuration; unknown
         stage names raise ``ValueError``.
         """

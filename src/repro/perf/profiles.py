@@ -8,13 +8,12 @@ opcode category it constructs a straight-line program containing many copies
 of the opcode, measures its execution time, subtracts the harness baseline
 and divides down to a per-instruction figure.
 
-The absolute numbers describe the Python interpreter, not silicon; what the
-cost model needs (and what the optimization relies on) is the *relative*
-ordering — ALU ops are cheap, loads and stores cost more, helper calls
-dominate — which the profile preserves.  :meth:`ProfileReport.calibrated_model`
-turns a profile into an :class:`~repro.perf.latency_model.OpcodeLatencyModel`
-whose scale is anchored to a chosen ALU latency, mirroring how the paper
-anchors its opcode table to measured hardware timings.
+The absolute numbers describe the Python interpreter, not silicon, and on a
+shared host they are noisy from run to run.  The profile is a report: the
+search's latency cost comes from the built-in table of
+:class:`~repro.perf.latency_model.OpcodeLatencyModel`, which encodes the
+same ordering — ALU ops are cheap, loads and stores cost more, helper calls
+dominate — and whose ``scale`` anchors it to a chosen ALU latency.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from ..bpf.opcodes import MemSize
 from ..bpf.program import BpfProgram
 from ..engine import ExecutionEngine
 from ..interpreter import ProgramInput
-from .latency_model import OpcodeLatencyModel
 
 __all__ = ["OpcodeProfile", "ProfileReport", "OpcodeProfiler"]
 
@@ -72,16 +70,6 @@ class ProfileReport:
         baseline = self.profiles["alu_simple"]
         return {category: profile.relative_to(baseline)
                 for category, profile in self.profiles.items()}
-
-    def calibrated_model(self, alu_ns: float = 1.0) -> OpcodeLatencyModel:
-        """An :class:`OpcodeLatencyModel` anchored at ``alu_ns`` per ALU op.
-
-        The model's built-in relative costs already encode the ALU ≪ memory ≪
-        helper ordering; calibration scales the whole table so that a simple
-        ALU instruction costs ``alu_ns`` nanoseconds, the same way the
-        paper's table is anchored to its hardware measurements.
-        """
-        return OpcodeLatencyModel(scale=alu_ns / 1.0)
 
     def format_table(self) -> str:
         """Human-readable profile table (used by the CLI and examples)."""

@@ -36,7 +36,7 @@ synthesizer adds to its test suite exactly as in Fig. 1 of the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..analysis import AbstractAnalyzer
 from ..analysis.verdicts import (
@@ -56,15 +56,11 @@ class SafetyChecker:
     Runs the unified incremental abstract interpreter
     (:class:`repro.analysis.AbstractAnalyzer`): one product domain
     (provenance × tnum × interval) with per-basic-block memoization across
-    the proposals of a synthesis run.  Pass a shared ``analyzer`` to let
-    several consumers (the search loop's checker and the verification
-    pipeline's pre-stage) hit one memo.
+    the proposals of a synthesis run.
     """
 
-    def __init__(self, strict_alignment: bool = True,
-                 analyzer: Optional[AbstractAnalyzer] = None):
-        self.analyzer = analyzer if analyzer is not None \
-            else AbstractAnalyzer(strict_alignment=strict_alignment)
+    def __init__(self, strict_alignment: bool = True):
+        self.analyzer = AbstractAnalyzer(strict_alignment=strict_alignment)
         self.num_checks = 0
 
     # ------------------------------------------------------------------ #

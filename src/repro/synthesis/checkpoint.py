@@ -3,8 +3,8 @@
 The parallel engine already confines all cross-chain sharing to generation
 boundaries (:mod:`repro.synthesis.parallel`), which makes the boundary a
 natural *consistency point*: between two generations the entire search state
-is a plain value — every chain's RNG, current program, test suite, replay
-pool and cache, plus the controller's shared logs.  This module serializes
+is a plain value — every chain's RNG, current program, test suite,
+pipeline counters and cache, plus the controller's shared logs.  This module serializes
 that value to JSON-safe data (and back), so the controller can persist it as
 a ``ck`` record in the durable :class:`~repro.store.VerdictStore` after each
 generation and a crashed or killed run can be resumed *bit-identically* from
@@ -18,8 +18,7 @@ search trajectory observes is captured exactly:
   (:mod:`repro.bpf.encoder`);
 * the test suite's counterexample tail (initial tests are regenerated from
   the seed, so only post-seed additions are stored);
-* the verification pipeline's replay pool, adaptive refutation counts and
-  per-stage counters;
+* the verification pipeline's per-stage counters;
 * the equivalence cache with per-entry provenance (local / cross-chain /
   store-preseeded), so post-resume hit accounting matches the original run.
 
@@ -60,33 +59,9 @@ __all__ = ["CHECKPOINT_VERSION", "encode_candidate", "decode_candidate",
 #: incompatible (cold start) instead of being misinterpreted.
 #: v2: ``chain_index_offset`` joined the options signature (shard-local
 #: controllers seed chains by global index; see ``repro.service.shards``).
-CHECKPOINT_VERSION = 2
-
-
-# --------------------------------------------------------------------------- #
-# Frozen keys: ``ProgramInput.freeze_key()`` tuples nest bytes, so the plain
-# key codec of repro.store.serialize (ints/strings only) cannot carry them.
-# --------------------------------------------------------------------------- #
-def encode_frozen(value):
-    if isinstance(value, tuple):
-        return {"t": [encode_frozen(part) for part in value]}
-    if isinstance(value, bytes):
-        return {"b": value.hex()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise TypeError(f"unsupported frozen-key element {type(value).__name__}")
-
-
-def decode_frozen(encoded):
-    if isinstance(encoded, dict):
-        if "t" in encoded:
-            return tuple(decode_frozen(part) for part in encoded["t"])
-        if "b" in encoded:
-            return bytes.fromhex(encoded["b"])
-        raise ValueError("bad frozen-key element")
-    if encoded is None or isinstance(encoded, (bool, int, str)):
-        return encoded
-    raise ValueError(f"bad frozen-key element {type(encoded).__name__}")
+#: v3: the pipeline's replay pool and refutation counts left the chain
+#: state (the pipeline no longer keeps a counterexample pool).
+CHECKPOINT_VERSION = 3
 
 
 # --------------------------------------------------------------------------- #
@@ -175,7 +150,6 @@ def capture_chain_state(chain: MarkovChain) -> dict:
     Valid only at a generation boundary (no in-flight proposal, solver
     sessions dropped) — exactly where the controller calls it.
     """
-    pool_tests, refute_counts = chain.pipeline.export_replay_state()
     suite = chain.tests
     return {
         "rng": encode_rng_state(chain.rng.getstate()),
@@ -189,9 +163,6 @@ def capture_chain_state(chain: MarkovChain) -> dict:
         "suite_extras": [encode_test(test)
                          for test in suite.tests[suite.num_initial:]],
         "pipeline_stats": chain.pipeline.stats.as_dict(),
-        "replay_pool": [encode_test(test) for test in pool_tests],
-        "refute_counts": [[encode_frozen(key), int(count)]
-                          for key, count in refute_counts.items()],
         "cache": encode_cache_state(chain.pipeline.cache.snapshot_state()),
     }
 
@@ -215,9 +186,6 @@ def decode_chain_state(state: dict, source) -> dict:
         "suite_extras": [decode_test(test)
                          for test in state["suite_extras"]],
         "pipeline_stats": dict(state["pipeline_stats"]),
-        "replay_pool": [decode_test(test) for test in state["replay_pool"]],
-        "refute_counts": {decode_frozen(key): int(count)
-                          for key, count in state["refute_counts"]},
         "cache": decode_cache_state(state["cache"]),
     }
 
@@ -245,8 +213,6 @@ def apply_chain_state(chain: MarkovChain, decoded: dict) -> None:
     for test in decoded["suite_extras"]:
         suite.add_counterexample(test)
     chain.pipeline.stats.load_dict(decoded["pipeline_stats"])
-    chain.pipeline.restore_replay_state(
-        chain.source, decoded["replay_pool"], decoded["refute_counts"])
     chain.pipeline.cache = EquivalenceCache.restore_state(decoded["cache"])
 
 

@@ -1,12 +1,12 @@
 """The Metropolis-Hastings search over BPF programs (paper §3).
 
 One :class:`MarkovChain` runs the loop of Fig. 1: propose a rewrite (§3.1),
-evaluate its cost (§3.2) using the test suite, the safety checker and — when
-every test passes — the tiered verification pipeline
-(:class:`repro.verification.VerificationPipeline`: interpreter replay →
-cache → window check → full symbolic equivalence), then accept or reject the
-proposal (§3.3).  Equivalence and safety counterexamples feed back into the
-test suite so similar candidates are pruned without further solver calls.
+evaluate its cost (§3.2) using the test suite, the safety checker (§6) and —
+when every test passes and the candidate is safe — the tiered verification
+pipeline (:class:`repro.verification.VerificationPipeline`: cache → window
+check → full symbolic equivalence), then accept or reject the proposal
+(§3.3).  Equivalence and safety counterexamples feed back into the test
+suite so similar candidates are pruned without further solver calls.
 
 Each step draws its acceptance uniform before the evaluation, so the suite
 run can stop as soon as the cost over the tests run so far already loses
@@ -21,7 +21,6 @@ import random
 import time
 from typing import Dict, List, Optional
 
-from ..analysis import AbstractAnalyzer
 from ..bpf.program import BpfProgram
 from ..engine import ExecutionEngine
 from ..equivalence import EquivalenceCache, EquivalenceResult
@@ -77,7 +76,8 @@ class ChainStatistics:
     #: retries change wall clock and this counter, never the results).
     worker_retries: int = 0
     #: Per-stage verification-pipeline counters (attempts/accepts/rejects/
-    #: escalations/skips/seconds per stage), snapshotted from the pipeline.
+    #: escalations/seconds per stage, plus the ``_pipeline`` queries and
+    #: inconclusive counts), snapshotted from the pipeline.
     verification: Dict[str, Dict[str, float]] = dataclasses.field(
         default_factory=dict)
     #: Instruction span ``[window_start, window_end)`` this chain was
@@ -137,25 +137,19 @@ class MarkovChain:
         self.proposer = ProposalGenerator(source, self.rng, probabilities,
                                           region=proposal_region)
         self.keep_nops = keep_nops
-        # One long-lived execution engine per chain, shared by the test
-        # suite and the verification pipeline's replay stage so the current
-        # program and its proposals are decoded once for both.  Any engine
+        # One long-lived execution engine per chain, whose decode cache
+        # persists across every proposal the test suite runs.  Any engine
         # instance (or the legacy interpreter) may be passed in.
         if engine is None:
             engine = ExecutionEngine()
         self.engine = engine
         self.tests = test_suite or TestSuite(source, seed=seed, engine=engine)
         # The verification pipeline owns the equivalence options and the
-        # cache.  One fused abstract analyzer per chain, shared by the
-        # safety checker and the pipeline's static-safety pre-stage so both
-        # hit one per-block/program memo (the static-analysis analogue of
-        # the shared decode cache above); a pipeline built without one
-        # leaves the safety checker its own.
-        if pipeline is None:
-            pipeline = VerificationPipeline(engine=engine,
-                                            analyzer=AbstractAnalyzer())
-        self.pipeline = pipeline
-        self.safety = SafetyChecker(analyzer=pipeline.analyzer)
+        # cache; the safety checker owns the chain's fused abstract
+        # analyzer and its per-block/program memo.
+        self.pipeline = pipeline if pipeline is not None \
+            else VerificationPipeline()
+        self.safety = SafetyChecker()
         self.latency_model = latency_model
         self.beta_anneal = beta_anneal
         self.lazy_safety = lazy_safety

@@ -60,7 +60,7 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.analyzer import AbstractAnalyzer, AnalysisOutcome
+from ..analysis.analyzer import AnalysisOutcome
 from ..bpf.program import BpfProgram
 from ..engine import ExecutionEngine
 from ..equivalence import EquivalenceCache
@@ -143,12 +143,12 @@ def run_chain_generation(unit: ChainWorkUnit) -> ChainWorkUnitResult:
         chain.pipeline.cache.mark_store_origin(unit.store_keys)
     if unit.shared_counterexamples:
         chain.receive_counterexamples(unit.shared_counterexamples)
-    analyzer = chain.pipeline.analyzer
-    if unit.shared_analysis_entries and analyzer is not None:
+    analyzer = chain.safety.analyzer
+    if unit.shared_analysis_entries:
         analyzer.seed_program_memo(unit.shared_analysis_entries)
     result = chain.run(unit.iterations)
     analysis_entries = {}
-    if unit.export_analysis and analyzer is not None:
+    if unit.export_analysis:
         analysis_entries = analyzer.export_program_memo()
     return ChainWorkUnitResult(chain_index=unit.chain_index, chain=chain,
                                result=result,
@@ -582,9 +582,8 @@ class ChainController:
         # offset keeps its chain ``i`` bit-identical to chain ``offset + i``
         # of the unsharded run.
         index += options.chain_index_offset
-        # One engine per chain, shared between its test suite and its
-        # verification pipeline (chains must not share engines: each is
-        # shipped whole to a worker).
+        # One engine per chain, for its test suite (chains must not share
+        # engines: each is shipped whole to a worker).
         engine = ExecutionEngine()
         suite = TestSuite(self.source, seed=options.seed + index,
                           engine=engine)
@@ -600,8 +599,7 @@ class ChainController:
             cache.seed(dict(self._cache_log), foreign=True)
             cache.mark_store_origin(self._store_keys)
         pipeline = VerificationPipeline(options=options.equivalence,
-                                        cache=cache, engine=engine,
-                                        analyzer=AbstractAnalyzer())
+                                        cache=cache)
         return MarkovChain(
             self.source,
             cost_settings=setting.cost,

@@ -142,7 +142,7 @@ class SearchResult:
     #: Concrete executor backend the controller used.
     executor_used: str = "serial"
     #: Per-stage verification-pipeline counters summed over every chain:
-    #: ``{stage: {attempts, accepts, rejects, escalations, skips, seconds}}``
+    #: ``{stage: {attempts, accepts, rejects, escalations, seconds}}``
     #: plus a ``_pipeline`` bucket with ``queries``/``inconclusive``.
     verification_stats: Dict[str, Dict[str, float]] = dataclasses.field(
         default_factory=dict)

@@ -27,10 +27,12 @@ costs with windows (paper §5 IV); this module applies the same idea to the
    construction.  One master equivalence cache is threaded through every
    window's controller: all search bases are formally equivalent to the
    original source, so cached verdicts transfer soundly between windows.
-4. **Re-verify** — compact the NOPs out of the final stitched program and
-   prove it equivalent to the *original* source through a fresh full tiered
-   verification pipeline before it is ever reported as a candidate.  If the
-   proof does not conclude, the scheduler falls back to the source program.
+4. **Re-verify** — compact the NOPs out of the final stitched program,
+   check it statically safe and prove it equivalent to the *original*
+   source through a fresh full tiered verification pipeline before it is
+   ever reported as a candidate.  If the stitched program is unsafe where
+   the source is safe, or the proof does not conclude, the scheduler falls
+   back to the source program.
 """
 
 from __future__ import annotations
@@ -356,15 +358,21 @@ class WindowedScheduler:
         it rewrote, so equivalence to the source holds transitively — but
         the stitched program is only ever *reported* after the full tiered
         pipeline has proven it directly against the source (with a fresh
-        cache, so the verdict is a proof, not a lookup).  An inconclusive
-        proof or a kernel-checker rejection falls back to the source.
+        cache, so the verdict is a proof, not a lookup).  Like every chain
+        candidate, the stitched program must pass the §6 safety analysis
+        first: one the analysis finds unsafe while the source is safe is
+        refused without a proof.  An inconclusive proof or a
+        kernel-checker rejection falls back to the source.
         """
         options = self.options
         if stitched.same_instructions(source):
             return None, None, 0
 
-        pipeline = VerificationPipeline(options=options.equivalence,
-                                        analyzer=AbstractAnalyzer())
+        analyzer = AbstractAnalyzer()
+        if not analyzer.analyze(stitched).safe and \
+                analyzer.analyze(source).safe:
+            return None, False, 0
+        pipeline = VerificationPipeline(options=options.equivalence)
         outcome = pipeline.verify(source, stitched)
         PipelineStats.merge_dicts(verification, pipeline.stats.as_dict())
         if not outcome.result.equivalent:

@@ -1,16 +1,14 @@
-"""Tiered candidate verification: safety → replay → cache → window → full.
+"""Tiered equivalence verification: cache → window → full.
 
 The :class:`VerificationPipeline` is the single entry point the synthesis
 loop uses to decide whether a candidate is formally equivalent to the
 source program (paper §4–§5); see :mod:`repro.verification.pipeline`.  The
-optional leading static-safety stage (fused analyzer pre-check) rejects
-provably-unsafe candidates before any execution or solver work.
+test suite and the §6 safety check run before it, in the search loop.
 """
 
 from .stages import (
-    CacheLookupStage, FullSymbolicStage, InterpreterReplayStage, StageOutcome,
-    StageVerdict, StaticSafetyStage, VerificationStage, WindowCheckStage,
-    changed_window,
+    CacheLookupStage, FullSymbolicStage, StageOutcome, StageVerdict,
+    VerificationStage, WindowCheckStage, changed_window,
 )
 from .pipeline import (
     PipelineOutcome, PipelineStats, StageStats, VerificationPipeline,

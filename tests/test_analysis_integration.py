@@ -1,14 +1,17 @@
 """Integration tests: the fused analyzer threaded through the system.
 
-Covers how a chain shares one analyzer between its safety checker and the
-pipeline's static-safety pre-stage, and the pre-stage semantics
-(reject-before-replay, no equivalence cache pollution).
+Covers the chain's one analyzer (owned by its safety checker, seeded and
+exported by the parallel work units) and the windowed scheduler's static
+safety check of the stitched program before its final proof.
 """
 
 from repro.analysis import AbstractAnalyzer
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
+from repro.synthesis import SearchOptions
 from repro.synthesis.mcmc import MarkovChain
-from repro.verification import StaticSafetyStage, VerificationPipeline
+from repro.synthesis.parallel import ChainWorkUnit, run_chain_generation
+from repro.synthesis.windows import WindowedScheduler
+from repro.verifier import KernelChecker
 
 
 def _prog(text, name="prog"):
@@ -22,55 +25,52 @@ UNSAFE = "ldxw r2, [r1+0]\nldxb r0, [r2+0]\nexit"
 
 class TestAnalysisKnob:
     def test_fused_chain_shares_one_analyzer(self):
+        """A work unit's analysis entries seed the analyzer the chain's
+        safety checker runs on, and come back out of it."""
         chain = MarkovChain(_prog(SAFE), seed=1)
-        assert chain.safety.analyzer is chain.pipeline.analyzer
-        assert [s.name for s in chain.pipeline.stages][0] == "safety"
+        foreign = _prog(UNSAFE, "foreign")
+        donor = AbstractAnalyzer()
+        donor.analyze(foreign)
+        entries = donor.export_program_memo()
+        unit = ChainWorkUnit(chain_index=0, chain=chain, iterations=0,
+                             shared_cache_entries={},
+                             shared_counterexamples=[],
+                             shared_analysis_entries=entries,
+                             export_analysis=True)
+        result = run_chain_generation(unit)
+        analyzer = result.chain.safety.analyzer
+        assert set(entries) <= set(result.analysis_entries)
+        hits = analyzer.program_memo_hits
+        assert not result.chain.safety.check(foreign).safe
+        assert analyzer.program_memo_hits == hits + 1
 
 
 class TestStaticSafetyStage:
-    def _pipeline(self):
-        return VerificationPipeline(analyzer=AbstractAnalyzer())
+    """The stitched program of a windowed search is checked statically
+    safe against the source before the pipeline proves it equivalent."""
+
+    def _finalize(self, source, stitched):
+        scheduler = WindowedScheduler(SearchOptions(),
+                                      kernel_checker=KernelChecker())
+        verification = {}
+        outcome = scheduler._finalize(source, stitched, [], verification,
+                                      total_iterations=0, elapsed=0.0)
+        return outcome, verification
 
     def test_rejects_unsafe_candidate_before_any_other_stage(self):
-        pipeline = self._pipeline()
-        outcome = pipeline.verify(_prog(SAFE), _prog(UNSAFE, "cand"))
-        assert outcome.concluded_by == "safety"
-        assert not outcome.result.equivalent
-        assert "static safety" in outcome.result.reason
-        # Only the safety stage ran; replay/cache/window/full never started.
-        assert [v.stage for v in outcome.verdicts] == ["safety"]
-
-    def test_safety_rejection_never_pollutes_equivalence_cache(self):
-        pipeline = self._pipeline()
-        candidate = _prog(UNSAFE, "cand")
-        pipeline.verify(_prog(SAFE), candidate)
-        assert pipeline.cache.lookup(candidate) is None
-
-    def test_escalates_for_safe_candidates(self):
-        pipeline = self._pipeline()
-        source = _prog(SAFE)
-        outcome = pipeline.verify(source, source.with_instructions(
-            source.instructions, name="cand"))
-        verdicts = {v.stage: v for v in outcome.verdicts}
-        assert verdicts["safety"].outcome.value == "escalate"
-        assert outcome.result.equivalent
+        outcome, verification = self._finalize(_prog(SAFE),
+                                               _prog(UNSAFE, "cand"))
+        assert outcome == (None, False, 0)
+        # Refused before the pipeline: no stage ran, nothing was counted.
+        assert verification == {}
 
     def test_escalates_when_source_itself_unsafe(self):
-        pipeline = self._pipeline()
-        outcome = pipeline.verify(_prog(UNSAFE, "src"), _prog(UNSAFE, "cand"))
-        verdicts = {v.stage: v for v in outcome.verdicts}
-        assert verdicts["safety"].outcome.value == "escalate"
-
-    def test_stage_skipped_without_analyzer(self):
-        pipeline = VerificationPipeline()
-        assert "safety" not in [s.name for s in pipeline.stages]
-
-    def test_stage_verdicts_are_memo_hits_for_chain(self):
-        """The chain's safety check warms the memo the stage probes."""
-        chain = MarkovChain(_prog(SAFE), seed=2)
-        analyzer = chain.pipeline.analyzer
-        hits_before = analyzer.program_memo_hits
-        candidate = chain.source.with_instructions(chain.source.instructions)
-        chain.safety.check(candidate)
-        StaticSafetyStage().run(chain.pipeline, chain.source, candidate, None)
-        assert analyzer.program_memo_hits > hits_before
+        source = _prog(UNSAFE, "src")
+        stitched = source.with_instructions(
+            assemble("ldxw r2, [r1+0]\nldxb r0, [r2+0]\nja +0\nexit"),
+            name="cand")
+        outcome, verification = self._finalize(source, stitched)
+        # An unsafe source does not refuse the stitch: the pipeline proves
+        # it, and the kernel checker then rejects the unsafe program.
+        assert verification["_pipeline"]["queries"] == 1
+        assert outcome == (None, True, 1)

@@ -1,10 +1,11 @@
 """Property tests for vectorized batch replay (``run_batch``).
 
-``run_batch`` is the replay stage's hot path: one decode, one machine, a
-batch of pooled tests, with one early exit — a ``stop(index, output)``
-predicate, which the verification pipeline uses to pinpoint a refuting
-counterexample.  The contract, for every engine, is that a batched run
-is indistinguishable from N sequential :meth:`run` calls:
+``run_batch`` is the test suite's hot path: one decode, one machine, a
+batch of tests, with one early exit — a ``stop(index, output)``
+predicate, which the MCMC step uses to stop a suite run once its step is
+lost, and which can pinpoint a refuting test.  The contract, for every
+engine, is that a batched run is indistinguishable from N sequential
+:meth:`run` calls:
 
 * identical output fingerprints (return value, packet, maps, fault kind
   and text, step count, estimated nanoseconds) in identical order;
@@ -14,7 +15,7 @@ is indistinguishable from N sequential :meth:`run` calls:
   exactly the prefix up to and including the first output whose
   ``observable()`` differs, so ``len(result) - 1`` is the refuting index;
   stopping against the reference's precomputed ``observable()`` tuples
-  (the form the replay stage passes) returns the same prefix.
+  (the form the test suite caches) returns the same prefix.
 
 Hypothesis drives the candidate shapes (proposal-mutation chains over
 corpus programs) and the batch shapes (sizes, duplicate tests, early-exit
@@ -104,11 +105,11 @@ class TestBatchEqualsSequential:
     @given(case=batch_cases, divergence=st.integers(0, 9))
     @settings(max_examples=40, deadline=None)
     def test_expected_divergence_early_exit(self, kind, case, divergence):
-        """The replay-stage shape: candidate outputs vs. source references.
+        """Candidate outputs vs. source references.
 
         The returned list must stop at the first index where the candidate's
         observable differs from the reference — ``len(result) - 1`` is the
-        refuting test the pipeline reports.
+        refuting test.
         """
         name, mutations, size, seed = case
         source = get_benchmark(name).program()

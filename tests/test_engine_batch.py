@@ -1,9 +1,9 @@
 """Early exits of the engine's ``run_batch`` against sequential runs.
 
-The replay stage hands ``run_batch`` a ``stop`` predicate over the source
-program's precomputed ``observable()`` tuples; the engine must stop at the
-first diverging test and return exactly what the legacy interpreter returns
-for the same call.
+Given a ``stop`` predicate over the source program's precomputed
+``observable()`` tuples (the form the test suite caches), the engine must
+stop at the first diverging test and return exactly what the legacy
+interpreter returns for the same call.
 """
 
 from repro.bpf import assemble

@@ -9,7 +9,6 @@ boundaries.
 
 import pytest
 
-from repro.analysis import AbstractAnalyzer
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
 from repro.engine import ExecutionEngine
@@ -50,15 +49,13 @@ class TestSerialMatchesLegacy:
 
         # The original engine, inlined: one chain per setting, run to
         # completion in order, each with its own engine, suite and
-        # verification pipeline (private cache, shared analyzer).
+        # verification pipeline (private cache).
         legacy = []
         for index, setting in enumerate(settings):
             engine = ExecutionEngine()
             suite = SynthTestSuite(source, seed=options.seed + index,
                                    engine=engine)
-            pipeline = VerificationPipeline(options=options.equivalence,
-                                            engine=engine,
-                                            analyzer=AbstractAnalyzer())
+            pipeline = VerificationPipeline(options=options.equivalence)
             chain = MarkovChain(source, cost_settings=setting.cost,
                                 probabilities=setting.probabilities,
                                 seed=options.seed * 1009 + index,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.perf import DEFAULT_LATENCY_MODEL, OpcodeProfiler, ProfileReport
+from repro.perf import (
+    DEFAULT_LATENCY_MODEL, OpcodeLatencyModel, OpcodeProfiler, ProfileReport,
+)
 from repro.perf.profiles import PROFILE_CATEGORIES, OpcodeProfile
 
 
@@ -49,18 +51,18 @@ class TestOpcodeProfiler:
 
 
 class TestCalibratedModel:
-    def test_calibration_scales_alu_cost(self, report):
-        model = report.calibrated_model(alu_ns=2.0)
+    def test_calibration_scales_alu_cost(self):
+        model = OpcodeLatencyModel(scale=2.0)
         from repro.bpf import builders
         insn = builders.ADD64_IMM(1, 1)
         assert model.instruction_cost(insn) == pytest.approx(
             2.0 * DEFAULT_LATENCY_MODEL.instruction_cost(insn))
 
-    def test_calibrated_model_preserves_ordering(self, report):
+    def test_calibrated_model_preserves_ordering(self):
         from repro.bpf import builders
         from repro.bpf.helpers import HelperId
         from repro.bpf.opcodes import MemSize
-        model = report.calibrated_model(alu_ns=1.5)
+        model = OpcodeLatencyModel(scale=1.5)
         alu = model.instruction_cost(builders.ADD64_IMM(1, 1))
         load = model.instruction_cost(builders.LDX_MEM(MemSize.W, 1, 10, -8))
         call = model.instruction_cost(

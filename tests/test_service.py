@@ -271,7 +271,7 @@ class TestJobQueue:
         to ``SearchOptions``, with only the service's generation length
         differing."""
         config = K2Config(goal=goal, conflict_budget=5_000,
-                          verify_pipeline="replay,full")
+                          verify_pipeline="window,full")
         in_process = config.search_options()
         daemon = config.job_spec(benchmark="xdp_pktcntr").search_options(
             None, None)
@@ -291,36 +291,41 @@ class TestJobQueue:
         spec = JobSpec.from_dict({"benchmark": "xdp_pktcntr",
                                   "verify_pipeline": "cache,full"})
         equivalence = spec.search_options(None, None).equivalence
-        assert (equivalence.interpreter_replay, equivalence.enable_cache,
-                equivalence.modular_verification,
-                equivalence.full_symbolic) == (False, True, False, True)
+        assert (equivalence.enable_cache, equivalence.modular_verification,
+                equivalence.full_symbolic) == (True, False, True)
 
     def test_journal_keeps_jobs_whose_spec_no_longer_validates(
             self, tmp_path):
         """A spec journaled before a knob value was retired (the
-        ``thread`` executor) keeps its job: a finished one replays as it
-        was, an unfinished one replays as failed and never runs.  Only a
-        line that does not decode into a job is skipped."""
-        journal = str(tmp_path / "jobs.jsonl")
-        record = {"id": "j0001", "state": "done",
-                  "spec": {"benchmark": "xdp_pktcntr", "executor": "thread"},
-                  "result": {"best_insns": 3}}
-        with open(journal, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
-            handle.write(json.dumps(dict(record, id="j0002",
-                                         state="queued", result=None))
-                         + "\n")
-            handle.write(json.dumps(dict(record, id="j0003", spec=None))
-                         + "\n")
-        for _ in range(2):  # the failure is journaled, not re-derived
-            replayed = JobQueue(journal)
-            assert [job.id for job in replayed.jobs()] == ["j0001", "j0002"]
-            done, queued = replayed.jobs()
-            assert done.state == "done" and done.result == {"best_insns": 3}
-            assert done.error is None
-            assert queued.state == "failed" and "executor" in queued.error
-            assert queued.finished_at is not None
-            assert replayed.next_runnable() is None
+        ``thread`` executor, the ``replay`` verification stage) keeps its
+        job: a finished one replays as it was, an unfinished one replays
+        as failed and never runs.  Only a line that does not decode into a
+        job is skipped."""
+        for knob, value, message in (
+                ("executor", "thread", "executor"),
+                ("verify_pipeline", "replay,full", "replay")):
+            journal = str(tmp_path / f"{knob}.jsonl")
+            record = {"id": "j0001", "state": "done",
+                      "spec": {"benchmark": "xdp_pktcntr", knob: value},
+                      "result": {"best_insns": 3}}
+            with open(journal, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(record) + "\n")
+                handle.write(json.dumps(dict(record, id="j0002",
+                                             state="queued", result=None))
+                             + "\n")
+                handle.write(json.dumps(dict(record, id="j0003", spec=None))
+                             + "\n")
+            for _ in range(2):  # the failure is journaled, not re-derived
+                replayed = JobQueue(journal)
+                assert [job.id for job in replayed.jobs()] == \
+                    ["j0001", "j0002"]
+                done, queued = replayed.jobs()
+                assert done.state == "done" and \
+                    done.result == {"best_insns": 3}
+                assert done.error is None
+                assert queued.state == "failed" and message in queued.error
+                assert queued.finished_at is not None
+                assert replayed.next_runnable() is None
 
     def test_journal_replay_requeues_running_jobs(self, tmp_path):
         journal = str(tmp_path / "jobs.jsonl")

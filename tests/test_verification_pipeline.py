@@ -6,11 +6,9 @@ import pytest
 
 from repro.bpf import BpfProgram, HookType, NOP, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
-from repro.corpus import get_benchmark
 from repro.equivalence import EquivalenceOptions
 from repro.synthesis import MarkovChain
 from repro.synthesis import TestSuite as SynthTestSuite
-from repro.synthesis.testcases import TestCaseGenerator as InputGenerator
 from repro.verification import (
     StageOutcome, VerificationPipeline, changed_window,
     summarize_verification_stats,
@@ -46,10 +44,9 @@ class TestStageEscalation:
         assert outcome.result.equivalent
         assert outcome.concluded_by == "window"
         names = [v.stage for v in outcome.verdicts]
-        assert names == ["replay", "cache", "window"]
+        assert names == ["cache", "window"]
         assert outcome.verdicts[0].outcome == StageOutcome.ESCALATE
-        assert outcome.verdicts[1].outcome == StageOutcome.ESCALATE
-        assert outcome.verdicts[2].outcome == StageOutcome.ACCEPT
+        assert outcome.verdicts[1].outcome == StageOutcome.ACCEPT
 
     def test_cache_stage_concludes_second_query(self):
         source = prog(REDUNDANT)
@@ -71,23 +68,8 @@ class TestStageEscalation:
         assert outcome.concluded_by == "full"
         assert outcome.result.counterexample is not None
 
-    def test_replay_stage_rejects_from_pool(self):
-        source = prog("mov64 r0, 1\nexit")
-        bad = prog("mov64 r0, 2\nja +0\nexit")
-        pipeline = VerificationPipeline()
-        first = pipeline.verify(source, bad)
-        assert first.concluded_by == "full"
-        assert pipeline.pool_size == 1
-        # A different non-equivalent candidate fails on the pooled input
-        # before any solver work.
-        worse = prog("mov64 r0, 3\nja +0\nexit")
-        second = pipeline.verify(source, worse)
-        assert second.concluded_by == "replay"
-        assert not second.result.equivalent
-        assert second.result.counterexample is not None
-
     def test_pipeline_exhausted_reports_unknown(self):
-        options = EquivalenceOptions.from_stages("replay,cache")
+        options = EquivalenceOptions.from_stages("cache")
         source = prog(REDUNDANT)
         candidate = nop_candidate(source, 1)
         pipeline = VerificationPipeline(options=options)
@@ -100,89 +82,33 @@ class TestStageEscalation:
         source = prog(REDUNDANT)
         pipeline = VerificationPipeline(options=options)
         outcome = pipeline.verify(source, nop_candidate(source, 1))
-        by_stage = {v.stage: v.outcome for v in outcome.verdicts}
-        assert by_stage["replay"] == StageOutcome.SKIP
-        assert by_stage["window"] == StageOutcome.SKIP
+        # Disabled stages are never built: they neither run nor count.
+        assert [s.name for s in pipeline.stages] == ["cache", "full"]
+        assert [v.stage for v in outcome.verdicts] == ["cache", "full"]
         assert outcome.concluded_by == "full"
         assert outcome.result.equivalent
-
-
-class TestAdaptiveReplay:
-    """The replay stage runs the pool in refutation-frequency order, so a
-    doomed candidate meets its most likely refuter first."""
-
-    def _divergent_pair(self):
-        source = get_benchmark("xdp_exception").program()
-        # Flip the return value: diverges on every test.
-        candidate = source.with_instructions(
-            assemble("mov64 r0, 3\nexit") + list(source.instructions[2:]))
-        return source, candidate
-
-    def _pipeline(self, source, seed, size):
-        pipeline = VerificationPipeline()
-        tests = InputGenerator(source, seed=seed).generate(size)
-        for test in tests:
-            pipeline.add_counterexample(test)
-        pipeline._refresh_pool(source)   # source runs outside the counts below
-        return pipeline, tests
-
-    def test_replay_plan_orders_by_refutation_frequency(self):
-        source = get_benchmark("xdp_exception").program()
-        pipeline, tests = self._pipeline(source, seed=7, size=6)
-        # Make the *last* pooled test the top refuter.
-        for _ in range(3):
-            pipeline.record_refutation(tests[-1])
-        pipeline.record_refutation(tests[2])
-        planned, observables = pipeline.replay_plan(source)
-        assert planned[0].freeze_key() == tests[-1].freeze_key()
-        assert planned[1].freeze_key() == tests[2].freeze_key()
-        assert len(planned) == len(observables) == len(tests)
-        # Ties keep pool order behind the ranked tests.
-        remainder = [t.freeze_key() for t in planned[2:]]
-        assert remainder == [t.freeze_key() for t in tests[:2] + tests[3:-1]]
-        assert pipeline.stats.replay_reorders >= 1
-
-    def test_doomed_candidate_dies_on_top_ranked_test(self):
-        source, candidate = self._divergent_pair()
-        pipeline, tests = self._pipeline(source, seed=11, size=8)
-        pipeline.record_refutation(tests[5])
-        runs = pipeline.engine.runs
-        outcome = pipeline.verify(source, candidate)
-        assert not outcome
-        assert outcome.concluded_by == "replay"
-        assert outcome.result.counterexample.freeze_key() == \
-            tests[5].freeze_key()
-        assert pipeline.engine.runs - runs == 1
-        assert pipeline.stats.stages["replay"].rejects == 1
-
-    def test_surviving_candidate_replays_full_pool(self):
-        source = get_benchmark("xdp_exception").program()
-        pipeline, _ = self._pipeline(source, seed=19, size=6)
-        runs = pipeline.engine.runs
-        # The source is equivalent to itself: replay must pass the whole
-        # pool and escalate.
-        outcome = pipeline.verify(source, source)
-        assert bool(outcome)
-        replay = next(v for v in outcome.verdicts if v.stage == "replay")
-        assert replay.outcome == StageOutcome.ESCALATE
-        assert "passed 6 pooled tests" in replay.detail
-        assert pipeline.engine.runs - runs == 6
+        assert "window" not in pipeline.stats.as_dict()
 
 
 class TestOptionsStageList:
     def test_default_stage_names(self):
         assert EquivalenceOptions().stage_names() == \
-            ("replay", "cache", "window", "full")
+            ("cache", "window", "full")
+        assert [s.name for s in VerificationPipeline().stages] == \
+            ["cache", "window", "full"]
 
     def test_from_stages_round_trip(self):
         options = EquivalenceOptions.from_stages("cache,full")
         assert options.stage_names() == ("cache", "full")
-        assert not options.interpreter_replay
+        assert options.enable_cache and options.full_symbolic
         assert not options.modular_verification
 
     def test_from_stages_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown verification stage"):
-            EquivalenceOptions.from_stages("replay,frobnicate")
+        # ``replay`` named a retired stage: the search loop's test suite
+        # already replays every counterexample.
+        for stages in ("replay,frobnicate", "replay,full"):
+            with pytest.raises(ValueError, match="unknown verification stage"):
+                EquivalenceOptions.from_stages(stages)
 
     def test_from_stages_forwards_kwargs(self):
         options = EquivalenceOptions.from_stages(
@@ -197,10 +123,10 @@ class TestStatistics:
         pipeline.verify(source, nop_candidate(source, 1))   # window accept
         pipeline.verify(source, nop_candidate(source, 1))   # cache hit
         stats = pipeline.stats.as_dict()
-        assert stats["_pipeline"]["queries"] == 2
-        assert stats["replay"]["attempts"] == 2
-        assert stats["replay"]["escalations"] == 2
+        assert set(stats) == {"cache", "window", "full", "_pipeline"}
+        assert stats["_pipeline"] == {"queries": 2, "inconclusive": 0}
         assert stats["cache"]["attempts"] == 2
+        assert stats["cache"]["escalations"] == 1
         assert stats["cache"]["accepts"] == 1
         assert stats["window"]["attempts"] == 1
         assert stats["window"]["accepts"] == 1
