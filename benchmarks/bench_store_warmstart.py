@@ -1,12 +1,11 @@
 """Warm-start search from a durable verdict store vs. a cold start.
 
 The durable verdict store (:mod:`repro.store`) persists equivalence
-verdicts, counterexamples and analyzer memos across runs, keyed on the
-canonical program content plus a semantics version stamp.  A second run on
-the same program preseeds the shared equivalence cache and the analyzer's
-program memo from disk, so every candidate the first run already proved
-equal (or found a counterexample for) is answered without touching the
-solver.
+verdicts across runs, keyed on the canonical program content plus a
+semantics version stamp.  A second run on the same program preseeds the
+shared equivalence cache from disk, so every candidate the first run
+already proved equal (or found a counterexample for) is answered without
+touching the solver.
 
 This bench runs every small corpus benchmark three ways with the same seed
 and iteration budget:

@@ -3,8 +3,9 @@
 For each benchmark the search optimizes instruction count and the bench
 prints the original size, K2's size, the compression percentage and when the
 smallest program was found (time and iterations), i.e. the columns of
-Table 1.  Laptop-scale iteration budgets mean the compression percentages are
-smaller than the paper's (see EXPERIMENTS.md).
+Table 1.  Laptop-scale iteration budgets (hundreds of iterations per chain,
+far below the paper's) mean the compression percentages are smaller than
+the paper's.
 """
 
 import os

@@ -23,8 +23,9 @@ under four configurations:
   aliasing clauses instead of compile-time offsets.
 
 (Optimizations I and II — per-region and per-map tables — are structural in
-this reproduction's encoding and cannot be disabled without changing its
-soundness; see EXPERIMENTS.md.)
+this reproduction's symbolic encoding, which keeps one table per memory
+region and per map by construction, so there is no configuration without
+them to time.)
 
 Each timed leg starts with a full garbage collection: a generation-2
 collection costs tens of milliseconds and otherwise lands in whichever leg

@@ -271,34 +271,6 @@ class AbstractAnalyzer:
         self._insn_info.clear()
 
     # ------------------------------------------------------------------ #
-    # Program-memo transfer: the durable verdict store persists program
-    # memos across runs, and the parallel engine re-seeds worker analyzers
-    # each generation (pickling ships configuration only, so the memos
-    # would otherwise restart cold in every process-pool generation).
-    # ------------------------------------------------------------------ #
-    def export_program_memo(self) -> Dict[Tuple, AnalysisOutcome]:
-        """A picklable snapshot of the program memo (content key → outcome)."""
-        return dict(self._program_memo)
-
-    def seed_program_memo(self,
-                          entries: Dict[Tuple, AnalysisOutcome]) -> int:
-        """Insert memo ``entries`` not already present; returns how many.
-
-        Seeded entries land coldest in the LRU order, so a saturated memo
-        sheds them before anything this analyzer computed itself.
-        """
-        inserted = 0
-        for key, outcome in entries.items():
-            if key in self._program_memo:
-                continue
-            self._program_memo[key] = outcome
-            self._program_memo.move_to_end(key, last=False)
-            inserted += 1
-        while len(self._program_memo) > self._program_memo_size:
-            self._program_memo.popitem(last=False)
-        return inserted
-
-    # ------------------------------------------------------------------ #
     def analyze(self, program: BpfProgram,
                 use_memo: bool = True) -> AnalysisOutcome:
         """Full §6 verdict for ``program`` (memoized on its content key)."""

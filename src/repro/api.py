@@ -228,8 +228,7 @@ class CompilationResult:
         if store:
             lines.append(
                 f"store:         {store['path']}: "
-                f"{store['preseeded_verdicts']} verdicts + "
-                f"{store['preseeded_analysis']} memos preseeded "
+                f"{store['preseeded_verdicts']} verdicts preseeded "
                 f"({self.search.cache_stats.get('store_hits', 0):.0f} "
                 f"cross-run hits), "
                 f"{store['flushed_records']} records flushed")

@@ -320,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         "completion without mid-run sharing")
     optimize.add_argument("--store", default=None, metavar="PATH",
                           help="durable verdict store: preseed the "
-                               "equivalence cache and analyzer memos from "
-                               "PATH before the search and flush new "
-                               "verdicts/counterexamples/memos back at every "
+                               "equivalence cache from PATH before the "
+                               "search and flush new verdicts back at every "
                                "generation boundary; verdicts learned in one "
                                "run accelerate every future run on the same "
                                "program, and warm starts are bit-identical "

@@ -59,11 +59,8 @@ class EquivalenceOptions:
     onto pipeline stages — see :meth:`stage_names`.
     """
 
-    #: I — separate read/write tables per memory region.
-    memory_type_concretization: bool = True
-    #: II — per-map two-level tables (always structural in this encoding, but
-    #: turning it off widens every lookup to consider every map).
-    map_type_concretization: bool = True
+    #: Opts I (a table per memory region) and II (a table per map) are
+    #: structural in the symbolic encoding and have no toggle.
     #: III — concrete offsets decided at encoding time.
     memory_offset_concretization: bool = True
     #: IV — modular (window) verification; the pipeline's ``window`` stage.

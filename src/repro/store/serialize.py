@@ -1,12 +1,12 @@
 """Pickle-free stable serialization for the durable verdict store.
 
-Every value the store persists — cache keys, :class:`EquivalenceResult`
-verdicts (including their counterexample test cases),
-:class:`AnalysisOutcome` safety memos — round-trips through plain JSON
-types: nested lists of ints and strings, with ``bytes`` hex-encoded.  The
-encoding is *stable*: encoding the same value always produces the same JSON
-text (``canonical_json``), which is what makes per-record checksums and
-content digests meaningful across runs, machines and Python versions.
+Every value the store persists — cache keys and :class:`EquivalenceResult`
+verdicts, including their counterexample test cases — round-trips through
+plain JSON types: nested lists of ints and strings, with ``bytes``
+hex-encoded.  The encoding is *stable*: encoding the same value always
+produces the same JSON text (``canonical_json``), which is what makes
+per-record checksums and content digests meaningful across runs, machines
+and Python versions.
 
 Pickle is deliberately not used: a store file may be written by one version
 of the code and read by another, and a verdict store shared between many
@@ -18,16 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..analysis.analyzer import AnalysisOutcome
-from ..analysis.verdicts import SafetyViolation, SafetyViolationKind
 from ..equivalence.checker import EquivalenceResult
 from ..interpreter import ProgramInput
 
 __all__ = ["canonical_json", "record_checksum", "source_digest",
            "encode_key", "decode_key",
            "encode_test", "decode_test",
-           "encode_result", "decode_result",
-           "encode_outcome", "decode_outcome"]
+           "encode_result", "decode_result"]
 
 
 def canonical_json(value) -> str:
@@ -46,12 +43,12 @@ def record_checksum(record: dict) -> str:
 def source_digest(encoded_key: list) -> str:
     """Compact content address for a source program's encoded content key.
 
-    Verdict and counterexample records reference their source program by
-    this digest instead of repeating the full content key per record; the
-    store keeps the digest → full-key mapping (one ``src`` record per
-    source) and refuses a digest whose declared keys ever disagree, so a
-    (cryptographically unlikely) collision degrades to a cold cache rather
-    than a wrong verdict.
+    Verdict records reference their source program by this digest instead
+    of repeating the full content key per record; the store keeps the
+    digest → full-key mapping (one ``src`` record per source) and refuses
+    a digest whose declared keys ever disagree, so a (cryptographically
+    unlikely) collision degrades to a cold cache rather than a wrong
+    verdict.
     """
     digest = hashlib.blake2b(canonical_json(encoded_key).encode("utf-8"),
                              digest_size=16)
@@ -83,7 +80,7 @@ def decode_key(encoded):
 
 
 # --------------------------------------------------------------------------- #
-# Test cases (counterexamples embedded in verdicts and pool records).
+# Test cases (the counterexamples embedded in verdicts and checkpoints).
 # --------------------------------------------------------------------------- #
 def encode_test(test: ProgramInput) -> dict:
     return {
@@ -137,19 +134,3 @@ def decode_result(encoded: dict) -> EquivalenceResult:
         else decode_test(encoded["cex"]),
     )
 
-
-# --------------------------------------------------------------------------- #
-# Analysis memos.
-# --------------------------------------------------------------------------- #
-def encode_outcome(outcome: AnalysisOutcome) -> dict:
-    return {"v": [[violation.kind.value, violation.insn_index,
-                   violation.message]
-                  for violation in outcome.violations]}
-
-
-def decode_outcome(encoded: dict) -> AnalysisOutcome:
-    violations = tuple(
-        SafetyViolation(SafetyViolationKind(kind),
-                        None if index is None else int(index), str(message))
-        for kind, index, message in encoded["v"])
-    return AnalysisOutcome(violations)

@@ -1,11 +1,10 @@
 """The durable content-addressed verdict store (ROADMAP item 1).
 
 K2's equivalence cache eliminates the vast majority of solver calls within
-one run (paper §5, optimization V), but every run starts cold: proofs,
-counterexamples and safety-analysis memos die with the process.
-:class:`VerdictStore` makes that state durable — a build-cache for
-equivalence proofs — so verdicts learned in one run accelerate every future
-run over the same programs.
+one run (paper §5, optimization V), but every run starts cold: its proofs
+and refutations die with the process.  :class:`VerdictStore` makes those
+verdicts durable — a build-cache for equivalence proofs — so verdicts
+learned in one run accelerate every future run over the same programs.
 
 Format
 ------
@@ -16,11 +15,13 @@ following line is one record carrying its own checksum:
 * ``src``  — declares a source program: content digest → full content key;
 * ``eq``   — one equivalence verdict: (source digest, canonical candidate
   key) → :class:`~repro.equivalence.EquivalenceResult`;
-* ``cex``  — one counterexample test case discovered against a source;
-* ``an``   — one safety-analysis memo: program content key →
-  :class:`~repro.analysis.AnalysisOutcome`;
 * ``ck``   — one resumable-search checkpoint generation of a running job,
   or the ``clear`` that ends the job's checkpoint.
+
+Files written by older code may also hold ``cex`` (pooled counterexample)
+and ``an`` (analyzer memo) records.  No search reads them back, so they
+load as *retired* kinds: checksum-checked, then dropped, and neither
+skipped nor corrupt — the next compaction or ``gc`` rewrites them away.
 
 Staleness is handled by *versioning the key*, never by trusting mtimes: a
 header whose semantics stamp differs from the running code makes the whole
@@ -43,24 +44,25 @@ first-write/stale-rewrite paths write a temporary file and ``os.replace``
 it into place (atomic rename).  Readers never need the lock: a torn
 trailing line fails its JSON parse or checksum and is skipped, costing one
 record, not the file.  Within a synthesis run the write path is
-single-writer by construction — worker chains buffer their discoveries and
-the :class:`~repro.synthesis.parallel.ChainController` merges and flushes
-them at generation boundaries.
+single-writer by construction — worker chains buffer their verdicts in
+their caches and the :class:`~repro.synthesis.parallel.ChainController`
+merges and flushes them at generation boundaries.
 
 Compaction
 ----------
-Checkpoints are the only records that go dead.  A running job appends one
-``ck`` generation per generation boundary, each superseding the last;
-when the job (or one of its windows or shards) finishes or is cancelled,
-the flush that carries its ``clear`` re-reads the file under the writer
-lock and rewrites it without that history, keeping every other writer's
-records and each still-running job's newest generation.  So a shared
-store (``k2 serve``) stays the size of its verdicts instead of growing by
-every finished job's checkpoints.  Where a rewrite could lose something —
-the re-read meets a stale header, a corrupt line or an unknown record
-kind, or the writer lock degraded to no lock — the flush only appends and
-leaves the file to ``k2 store verify`` and ``k2 store gc``.  ``gc``
-rewrites unconditionally, from the same under-lock re-read.
+Checkpoints are the only records that go dead (retired kinds aside).  A
+running job appends one ``ck`` generation per generation boundary, each
+superseding the last; when the job (or one of its windows or shards)
+finishes or is cancelled, the flush that carries its ``clear`` re-reads
+the file under the writer lock and rewrites it without that history,
+keeping every other writer's records and each still-running job's newest
+generation.  So a shared store (``k2 serve``) stays the size of its
+verdicts instead of growing by every finished job's checkpoints.  Where a
+rewrite could lose something — the re-read meets a stale header, a corrupt
+line or an unknown record kind, or the writer lock degraded to no lock —
+the flush only appends and leaves the file to ``k2 store verify`` and
+``k2 store gc``.  ``gc`` rewrites unconditionally, from the same
+under-lock re-read.
 """
 
 from __future__ import annotations
@@ -73,13 +75,10 @@ import warnings
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.analyzer import AnalysisOutcome
 from ..bpf.program import BpfProgram
 from ..equivalence.checker import EquivalenceResult
-from ..interpreter import ProgramInput
 from .serialize import (
-    decode_key, decode_outcome, decode_result, decode_test, encode_key,
-    encode_outcome, encode_result, encode_test, record_checksum,
+    decode_key, decode_result, encode_key, encode_result, record_checksum,
     source_digest,
 )
 
@@ -95,6 +94,10 @@ SEMANTICS_VERSION = "k2-semantics-1"
 
 #: On-disk container format version (header layout, record framing).
 STORE_FORMAT = 1
+
+#: Record kinds older code wrote and nothing reads any more (pooled
+#: counterexamples, analyzer memos): loaded as nothing, rewritten away.
+_RETIRED_KINDS = frozenset({"cex", "an"})
 
 
 # ``fcntl`` is resolved once at import time — a mid-flush ImportError on a
@@ -212,7 +215,8 @@ def flush_open_stores() -> int:
 
 
 class VerdictStore:
-    """Durable, content-addressed store of verdicts, tests and memos."""
+    """Durable, content-addressed store of equivalence verdicts and
+    resumable-search checkpoints."""
 
     def __init__(self, path, semantics: str = SEMANTICS_VERSION):
         self.path = str(path)
@@ -222,10 +226,6 @@ class VerdictStore:
         #: digests whose declarations ever disagreed (never served).
         self._collided: set = set()
         self._verdicts: Dict[str, Dict[Tuple, EquivalenceResult]] = {}
-        self._tests: Dict[str, List[ProgramInput]] = {}
-        self._test_keys: Dict[str, set] = {}
-        #: (strict_alignment, content key) → analysis outcome.
-        self._analysis: Dict[Tuple, AnalysisOutcome] = {}
         #: job key → (generation, payload): the latest resumable-search
         #: checkpoint per job (see :meth:`record_checkpoint`).
         self._checkpoints: Dict[str, Tuple[int, dict]] = {}
@@ -249,9 +249,6 @@ class VerdictStore:
         self._sources.clear()
         self._collided.clear()
         self._verdicts.clear()
-        self._tests.clear()
-        self._test_keys.clear()
-        self._analysis.clear()
         self._checkpoints.clear()
         self.records_loaded = 0
         self.corrupt_records = 0
@@ -289,12 +286,11 @@ class VerdictStore:
                 self._load_source(record)
             elif kind == "eq":
                 self._load_verdict(record)
-            elif kind == "cex":
-                self._load_counterexample(record)
-            elif kind == "an":
-                self._load_analysis(record)
             elif kind == "ck":
                 self._load_checkpoint(record)
+            elif kind in _RETIRED_KINDS:
+                # Not skipped: compaction may rewrite it away.
+                return
             else:
                 # Forward compatibility: a checksum-valid record of an
                 # unknown kind was written by newer code — skip it quietly.
@@ -316,8 +312,6 @@ class VerdictStore:
             self._collided.add(digest)
             self._sources.pop(digest, None)
             self._verdicts.pop(digest, None)
-            self._tests.pop(digest, None)
-            self._test_keys.pop(digest, None)
             return
         if digest not in self._collided:
             self._sources[digest] = key
@@ -330,21 +324,6 @@ class VerdictStore:
         if result.unknown:
             raise ValueError("unknown verdicts are never persisted")
         self._verdicts.setdefault(digest, {})[decode_key(record["key"])] = result
-
-    def _load_counterexample(self, record: dict) -> None:
-        digest = record["src"]
-        if digest in self._collided:
-            return
-        test = decode_test(record["test"])
-        keys = self._test_keys.setdefault(digest, set())
-        frozen = test.freeze_key()
-        if frozen not in keys:
-            keys.add(frozen)
-            self._tests.setdefault(digest, []).append(test)
-
-    def _load_analysis(self, record: dict) -> None:
-        key = (bool(record["strict"]), decode_key(record["key"]))
-        self._analysis[key] = decode_outcome(record["r"])
 
     def _load_checkpoint(self, record: dict) -> None:
         job = str(record["job"])
@@ -374,20 +353,6 @@ class VerdictStore:
         if self._sources.get(digest) != source.content_key():
             return {}
         return dict(self._verdicts.get(digest, {}))
-
-    def counterexamples_for(self, source: BpfProgram) -> List[ProgramInput]:
-        """Distinguishing inputs discovered against ``source``, oldest first."""
-        digest = self._digest_for(source)
-        if self._sources.get(digest) != source.content_key():
-            return []
-        return list(self._tests.get(digest, []))
-
-    def analysis_entries(self, strict_alignment: bool = True
-                         ) -> Dict[Tuple, AnalysisOutcome]:
-        """Persisted analyzer program memos (content key → outcome)."""
-        return {key: outcome
-                for (strict, key), outcome in self._analysis.items()
-                if strict == strict_alignment}
 
     # ------------------------------------------------------------------ #
     # Write API (buffered; nothing reaches disk until flush())
@@ -425,31 +390,6 @@ class VerdictStore:
         verdicts[key] = result
         self._queue({"t": "eq", "src": digest, "key": encode_key(key),
                      "r": encode_result(result)})
-        return True
-
-    def record_counterexample(self, source: BpfProgram,
-                              test: ProgramInput) -> bool:
-        digest = self._declare_source(source)
-        if digest is None:
-            return False
-        keys = self._test_keys.setdefault(digest, set())
-        frozen = test.freeze_key()
-        if frozen in keys:
-            return False
-        keys.add(frozen)
-        self._tests.setdefault(digest, []).append(test)
-        self._queue({"t": "cex", "src": digest, "test": encode_test(test)})
-        return True
-
-    def record_analysis(self, content_key: Tuple, outcome: AnalysisOutcome,
-                        strict_alignment: bool = True) -> bool:
-        key = (bool(strict_alignment), content_key)
-        if key in self._analysis:
-            return False
-        self._analysis[key] = outcome
-        self._queue({"t": "an", "strict": bool(strict_alignment),
-                     "key": encode_key(content_key),
-                     "r": encode_outcome(outcome)})
         return True
 
     # ------------------------------------------------------------------ #
@@ -543,12 +483,12 @@ class VerdictStore:
     def _compact_locked(self) -> None:
         """Shed dead checkpoint history: rewrite the file from a re-read.
 
-        The rewrite keeps verdicts, counterexamples, analysis memos and
-        the newest checkpoint of each job still running, and drops
-        superseded generations and cleared jobs.  When the re-read cannot
-        account for every line — a stale header, a corrupt line or a
-        record kind this code does not know — the file is left as
-        appended, for ``verify`` to report and ``gc`` to drop.
+        The rewrite keeps verdicts and the newest checkpoint of each job
+        still running, and drops superseded generations, cleared jobs and
+        retired record kinds.  When the re-read cannot account for every
+        line — a stale header, a corrupt line or a record kind this code
+        does not know — the file is left as appended, for ``verify`` to
+        report and ``gc`` to drop.
         """
         disk = self._reread_locked()
         if not (disk.stale or disk.corrupt_records or disk.skipped_records):
@@ -570,9 +510,8 @@ class VerdictStore:
     def _snapshot_lines(self) -> List[str]:
         """Header + every in-memory record, in a deterministic order.
 
-        Each source's verdicts and counterexamples, and the analysis
-        memos, keep their load order, so a rewritten file loads back to
-        the same state.
+        Each source's verdicts keep their load order, so a rewritten file
+        loads back to the same state.
         """
         lines = [json.dumps({"k2store": STORE_FORMAT,
                              "semantics": self.semantics},
@@ -589,11 +528,6 @@ class VerdictStore:
             for key, result in self._verdicts.get(digest, {}).items():
                 emit({"t": "eq", "src": digest, "key": encode_key(key),
                       "r": encode_result(result)})
-            for test in self._tests.get(digest, []):
-                emit({"t": "cex", "src": digest, "test": encode_test(test)})
-        for (strict, key), outcome in self._analysis.items():
-            emit({"t": "an", "strict": strict, "key": encode_key(key),
-                  "r": encode_outcome(outcome)})
         # Only the newest checkpoint per job survives a rewrite — this is
         # how compaction sheds superseded per-generation checkpoint history.
         for job in sorted(self._checkpoints):
@@ -620,7 +554,6 @@ class VerdictStore:
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
         num_verdicts = sum(len(v) for v in self._verdicts.values())
-        num_tests = sum(len(t) for t in self._tests.values())
         equivalent = sum(1 for verdicts in self._verdicts.values()
                          for result in verdicts.values() if result.equivalent)
         return {
@@ -633,8 +566,6 @@ class VerdictStore:
             "verdicts": num_verdicts,
             "verdicts_equivalent": equivalent,
             "verdicts_inequivalent": num_verdicts - equivalent,
-            "counterexamples": num_tests,
-            "analysis_memos": len(self._analysis),
             "checkpoints": len(self._checkpoints),
             "corrupt_records": self.corrupt_records,
             "stale": self.stale,
@@ -650,7 +581,8 @@ class VerdictStore:
         appended since this store's load survives; a stale or missing
         file is rewritten from this store's own state instead.  Returns
         how many records were kept and how many lines the rewrite shed
-        (corrupt lines, superseded duplicates, foreign-version bulk).
+        (corrupt lines, superseded duplicates, retired record kinds,
+        foreign-version bulk).
         """
         with _file_lock(self.path):
             before = 0

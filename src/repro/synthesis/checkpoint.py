@@ -45,8 +45,8 @@ from typing import List, Optional
 from ..bpf.encoder import decode_program, encode_program
 from ..equivalence import EquivalenceCache
 from ..store.serialize import (
-    decode_key, decode_outcome, decode_result, decode_test, encode_key,
-    encode_outcome, encode_result, encode_test, source_digest,
+    decode_key, decode_result, decode_test, encode_key, encode_result,
+    encode_test, source_digest,
 )
 from .mcmc import ChainStatistics, MarkovChain, VerifiedCandidate
 
@@ -61,7 +61,9 @@ __all__ = ["CHECKPOINT_VERSION", "encode_candidate", "decode_candidate",
 #: controllers seed chains by global index; see ``repro.service.shards``).
 #: v3: the pipeline's replay pool and refutation counts left the chain
 #: state (the pipeline no longer keeps a counterexample pool).
-CHECKPOINT_VERSION = 3
+#: v4: the controller's analyzer-memo log left the payload, and the
+#: counterexample-preseed option left the signature.
+CHECKPOINT_VERSION = 4
 
 
 # --------------------------------------------------------------------------- #
@@ -238,7 +240,6 @@ def options_signature(source, settings, options, proposal_region,
         len(settings),
         bool(options.share_cache),
         bool(options.share_counterexamples),
-        bool(options.store_preseed_counterexamples),
         int(options.chain_index_offset),
         None if proposal_region is None else list(proposal_region),
         bool(keep_nops),
@@ -267,8 +268,6 @@ def build_controller_payload(controller, next_generation: int,
             controller.shared_cache.snapshot_state()),
         "pool": [[int(origin), encode_test(test)]
                  for origin, test in controller._pool],
-        "analysis": [[encode_key(key), encode_outcome(outcome)]
-                     for key, outcome in controller._analysis_log],
         "store_summary": dict(controller.store_summary or {}),
         "chains": [capture_chain_state(chain) for chain in chains],
     }
@@ -304,8 +303,6 @@ def decode_controller_payload(payload: dict, source, settings, options,
             "shared_cache": decode_cache_state(payload["shared_cache"]),
             "pool": [(int(origin), decode_test(test))
                      for origin, test in payload["pool"]],
-            "analysis": [(decode_key(key), decode_outcome(outcome))
-                         for key, outcome in payload["analysis"]],
             "store_summary": dict(payload.get("store_summary") or {}),
             "chains": [decode_chain_state(state, source)
                        for state in chain_states],

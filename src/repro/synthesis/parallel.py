@@ -36,20 +36,16 @@ state carries across generations with no separate bookkeeping.
 Durable warm start
 ------------------
 With ``SearchOptions.store_path`` set the controller opens a
-:class:`~repro.store.VerdictStore` and becomes its single writer: verdicts,
-counterexamples and analyzer memos persisted by earlier runs are preseeded
-into the shared state before the first generation, and each generation's
-fresh discoveries are flushed back after its merge.  Workers never touch the
-store — they receive preseeds through the same delta channels used for
-cross-chain sharing and buffer their discoveries in their own caches/memos,
-which keeps the multi-process path single-writer by construction.  Preseeded
-cache entries replay exactly the verdict (and counterexample) the solver
-would recompute, and preseeded analyzer memos replay exactly the analysis
-outcome, so a warm-started search walks a bit-identical trajectory to a cold
-one — only faster.  Preseeding stored counterexamples into the chains' test
-suites *does* legitimately perturb the trajectory (suite contents feed the
-error cost), so it is opt-in via
-``SearchOptions.store_preseed_counterexamples``.
+:class:`~repro.store.VerdictStore` and becomes its single writer: verdicts
+persisted by earlier runs are preseeded into the shared cache before the
+first generation, and each generation's fresh verdicts are flushed back
+after its merge.  Workers never touch the store — they receive preseeds
+through the same delta channel used for cross-chain cache sharing and
+buffer their verdicts in their own caches, which keeps the multi-process
+path single-writer by construction.  A preseeded entry replays exactly the
+verdict (and counterexample) the solver would recompute, so a warm-started
+search walks a bit-identical trajectory to a cold or store-less one — only
+faster.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.analyzer import AnalysisOutcome
 from ..bpf.program import BpfProgram
 from ..engine import ExecutionEngine
 from ..equivalence import EquivalenceCache
@@ -100,16 +95,9 @@ class ChainWorkUnit:
     iterations: int
     shared_cache_entries: Dict[Tuple, EquivalenceResult]
     shared_counterexamples: List[ProgramInput]
-    #: Analyzer program-memo entries to seed into the worker's analyzer
-    #: (store preseeds plus sibling discoveries; delta since last sync).
-    shared_analysis_entries: Dict[Tuple, AnalysisOutcome] = \
-        dataclasses.field(default_factory=dict)
     #: Cache keys whose entries came from the durable store — tagged on the
     #: worker cache so its hits count as cross-run (``store_hits``).
     store_keys: frozenset = frozenset()
-    #: Ship the analyzer's program memo back with the result (set when the
-    #: controller persists memos to a store).
-    export_analysis: bool = False
 
 
 @dataclasses.dataclass
@@ -119,10 +107,6 @@ class ChainWorkUnitResult:
     chain_index: int
     chain: MarkovChain
     result: ChainResult
-    #: The worker analyzer's program memo (content key → outcome), exported
-    #: when the unit asked for it; empty otherwise.
-    analysis_entries: Dict[Tuple, AnalysisOutcome] = \
-        dataclasses.field(default_factory=dict)
 
 
 #: Test-only fault injection: when set, called with the unit at the top of
@@ -143,16 +127,9 @@ def run_chain_generation(unit: ChainWorkUnit) -> ChainWorkUnitResult:
         chain.pipeline.cache.mark_store_origin(unit.store_keys)
     if unit.shared_counterexamples:
         chain.receive_counterexamples(unit.shared_counterexamples)
-    analyzer = chain.safety.analyzer
-    if unit.shared_analysis_entries:
-        analyzer.seed_program_memo(unit.shared_analysis_entries)
     result = chain.run(unit.iterations)
-    analysis_entries = {}
-    if unit.export_analysis:
-        analysis_entries = analyzer.export_program_memo()
     return ChainWorkUnitResult(chain_index=unit.chain_index, chain=chain,
-                               result=result,
-                               analysis_entries=analysis_entries)
+                               result=result)
 
 
 class ChainController:
@@ -195,12 +172,6 @@ class ChainController:
         self._cache_log: List[Tuple[Tuple, EquivalenceResult]] = []
         self._cache_watermarks: List[int] = []
         self._pool_watermarks: List[int] = []
-        #: Append-only log of analyzer program-memo entries, delta-shipped to
-        #: workers like the cache log (their analyzers restart cold every
-        #: process-pool generation: pickling ships configuration only).
-        self._analysis_log: List[Tuple[Tuple, AnalysisOutcome]] = []
-        self._analysis_seen: set = set()
-        self._analysis_watermarks: List[int] = []
         #: Durable cross-run store; the controller is its single writer.
         #: An explicit instance wins (the windowed scheduler shares one
         #: across its per-window controllers); otherwise built from
@@ -211,19 +182,14 @@ class ChainController:
         #: Canonical keys preseeded from the store this run (first-dispatch
         #: tagging of worker caches for cross-run hit accounting).
         self._store_keys: frozenset = frozenset()
-        #: How far into each log the store already reflects (preseeds are
-        #: placed behind these marks so they are never re-recorded).
+        #: How far into the cache log the store already reflects (preseeds
+        #: are placed behind this mark so they are never re-recorded).
         self._store_flush_cache_mark = 0
-        self._store_flush_pool_mark = 0
-        self._store_flush_analysis_mark = 0
         self.store_summary: Optional[Dict[str, object]] = None
         if self.store is not None:
             self.store_summary = {
-                "path": self.store.path,
-                "preseeded_verdicts": 0, "preseeded_counterexamples": 0,
-                "preseeded_analysis": 0, "flushed_verdicts": 0,
-                "flushed_counterexamples": 0, "flushed_analysis": 0,
-                "flushed_records": 0,
+                "path": self.store.path, "preseeded_verdicts": 0,
+                "flushed_verdicts": 0, "flushed_records": 0,
             }
 
     # ------------------------------------------------------------------ #
@@ -298,8 +264,6 @@ class ChainController:
             for chain in chains]
         self._cache_watermarks = [0] * len(chains)
         self._pool_watermarks = [0] * len(chains)
-        self._analysis_watermarks = [0] * len(chains)
-        export_analysis = self.store is not None
 
         pool = create_executor(self.executor_kind, options.num_workers)
         try:
@@ -317,24 +281,20 @@ class ChainController:
                         iterations=iterations,
                         shared_cache_entries=self._cache_delta_for(index),
                         shared_counterexamples=self._pool_delta_for(index),
-                        shared_analysis_entries=self._analysis_delta_for(index),
                         store_keys=self._store_keys if generation == 0
-                        else frozenset(),
-                        export_analysis=export_analysis)
+                        else frozenset())
                     for index, chain in enumerate(chains)]
                 outcomes, pool = self._dispatch_generation(pool, units)
                 # Merge deterministically, in chain-index order.  Skip pool
                 # collection after the final generation: a counterexample
                 # that can never be delivered to a sibling was not shared
-                # (unless a harvester — the windowed scheduler or the durable
-                # store — wants it anyway).
+                # (unless the windowed scheduler harvests it anyway).
                 last = generation == len(generations) - 1
                 for outcome in sorted(outcomes, key=lambda o: o.chain_index):
                     chains[outcome.chain_index] = outcome.chain
                     results[outcome.chain_index] = outcome.result
                     self._absorb(outcome.chain_index, outcome.chain,
-                                 collect_counterexamples=not last,
-                                 analysis_entries=outcome.analysis_entries)
+                                 collect_counterexamples=not last)
                 self._flush_store()
                 self._write_checkpoint(generation, generations, chains)
                 self._notify_generation(generation + 1, len(generations),
@@ -461,14 +421,9 @@ class ChainController:
             in cache_state["entries"] if from_store)
         self._pool = list(decoded["pool"])
         self._pool_keys = {test.freeze_key() for _, test in self._pool}
-        self._analysis_log = list(decoded["analysis"])
-        self._analysis_seen = {entry_key for entry_key, _
-                               in self._analysis_log}
         # Everything restored was flushed before its checkpoint was
-        # written, so the store already reflects the full logs.
+        # written, so the store already reflects the full cache log.
         self._store_flush_cache_mark = len(self._cache_log)
-        self._store_flush_pool_mark = len(self._pool)
-        self._store_flush_analysis_mark = len(self._analysis_log)
         if self.store_summary is not None and decoded["store_summary"]:
             summary = dict(decoded["store_summary"])
             summary["path"] = self.store.path
@@ -520,41 +475,27 @@ class ChainController:
 
     # ------------------------------------------------------------------ #
     def _preseed_from_store(self) -> None:
-        """Warm the shared state from the durable store before generation 0.
+        """Warm the shared cache from the durable store before generation 0.
 
-        Preseeded verdicts and analyzer memos replay exactly what the
-        pipeline would recompute, so they accelerate the search without
-        touching its trajectory; preseeded counterexamples change the test
-        suites (and therefore the trajectory), so they are gated behind
-        ``options.store_preseed_counterexamples``.
+        Preseeded verdicts replay exactly what the pipeline would
+        recompute, so they accelerate the search without touching its
+        trajectory.
         """
         if self.store is None:
             return
-        summary = self.store_summary
         verdicts = self.store.verdicts_for(self.source)
         if verdicts and self.options.share_cache:
-            summary["preseeded_verdicts"] = self.preseed_cache(verdicts)
+            self.store_summary["preseeded_verdicts"] = \
+                self.preseed_cache(verdicts)
             self.shared_cache.mark_store_origin(verdicts)
             self._store_keys = frozenset(
                 self.shared_cache.store_origin_keys())
-        for key, outcome in self.store.analysis_entries(
-                strict_alignment=True).items():
-            if key not in self._analysis_seen:
-                self._analysis_seen.add(key)
-                self._analysis_log.append((key, outcome))
-                summary["preseeded_analysis"] += 1
-        if self.options.store_preseed_counterexamples:
-            summary["preseeded_counterexamples"] = \
-                self.preseed_counterexamples(
-                    self.store.counterexamples_for(self.source))
-        # Everything preseeded is already durable: start the flush marks
+        # Everything preseeded is already durable: start the flush mark
         # past it so it is never re-recorded.
         self._store_flush_cache_mark = len(self._cache_log)
-        self._store_flush_pool_mark = len(self._pool)
-        self._store_flush_analysis_mark = len(self._analysis_log)
 
     def _flush_store(self) -> None:
-        """Persist this generation's fresh discoveries (single writer)."""
+        """Persist this generation's fresh verdicts (single writer)."""
         if self.store is None:
             return
         summary = self.store_summary
@@ -562,16 +503,6 @@ class ChainController:
             if self.store.record_verdict(self.source, key, result):
                 summary["flushed_verdicts"] += 1
         self._store_flush_cache_mark = len(self._cache_log)
-        for _, test in self._pool[self._store_flush_pool_mark:]:
-            if self.store.record_counterexample(self.source, test):
-                summary["flushed_counterexamples"] += 1
-        self._store_flush_pool_mark = len(self._pool)
-        for key, outcome in self._analysis_log[
-                self._store_flush_analysis_mark:]:
-            if self.store.record_analysis(key, outcome,
-                                          strict_alignment=True):
-                summary["flushed_analysis"] += 1
-        self._store_flush_analysis_mark = len(self._analysis_log)
         summary["flushed_records"] += self.store.flush()
 
     # ------------------------------------------------------------------ #
@@ -646,39 +577,23 @@ class ChainController:
         return [test for origin, test in self._pool[watermark:]
                 if origin != chain_index]
 
-    def _analysis_delta_for(self, chain_index: int
-                            ) -> Dict[Tuple, AnalysisOutcome]:
-        """Analyzer memo entries added since this chain's last dispatch."""
-        if self.store is None:
-            return {}
-        watermark = self._analysis_watermarks[chain_index]
-        self._analysis_watermarks[chain_index] = len(self._analysis_log)
-        return dict(self._analysis_log[watermark:])
-
     def _absorb(self, chain_index: int, chain: MarkovChain,
-                collect_counterexamples: bool = True,
-                analysis_entries: Optional[Dict[Tuple, AnalysisOutcome]]
-                = None) -> None:
+                collect_counterexamples: bool = True) -> None:
         """Fold one worker's discoveries back into the controller state."""
         if self.options.share_cache:
             for key, value in chain.cache.local_entries().items():
                 if self.shared_cache.seed({key: value}, foreign=False):
                     self._cache_log.append((key, value))
-        if analysis_entries:
-            for key, outcome in analysis_entries.items():
-                if key not in self._analysis_seen:
-                    self._analysis_seen.add(key)
-                    self._analysis_log.append((key, outcome))
         discovered = chain.drain_discovered_counterexamples()
         if not self.options.share_counterexamples:
             return
         # A counterexample that can never reach a sibling chain is normally
-        # not collected; a harvester (the windowed scheduler, the durable
-        # store) collects everything — harvesting never feeds back into the
-        # chains, so it cannot perturb the search.
-        harvesting = self.collect_all_counterexamples or self.store is not None
-        if not harvesting and (not collect_counterexamples
-                               or len(self._pool_watermarks) < 2):
+        # not collected; the windowed scheduler harvests everything —
+        # harvesting never feeds back into this controller's chains, so it
+        # cannot perturb the search.
+        if not self.collect_all_counterexamples and (
+                not collect_counterexamples
+                or len(self._pool_watermarks) < 2):
             return
         for test in discovered:
             key = test.freeze_key()

@@ -75,16 +75,11 @@ class SearchOptions:
     window_overlap: int = 8
     #: Path of the durable cross-run verdict store (the CLI's ``--store``).
     #: ``None`` keeps the run fully in-memory.  With a store the controller
-    #: preseeds the shared cache and analyzer memos from disk before the
-    #: first generation and flushes fresh discoveries back at every
-    #: generation boundary; stored verdicts replay exactly what the solver
-    #: would recompute, so warm starts are bit-identical to cold runs.
+    #: preseeds the shared cache from disk before the first generation and
+    #: flushes fresh verdicts back at every generation boundary; stored
+    #: verdicts replay exactly what the solver would recompute, so warm
+    #: starts are bit-identical to cold and store-less runs.
     store_path: Optional[str] = None
-    #: Also preseed stored counterexamples into every chain's test suite.
-    #: Off by default: extra suite entries change the error cost and hence
-    #: the search trajectory (legitimately — more pruning before any solver
-    #: call — but no longer bit-identical to a cold run).
-    store_preseed_counterexamples: bool = False
     #: Stable identifier for checkpointed, resumable searches (requires
     #: ``store_path``): the controller persists its full state to the store
     #: under this key after every generation, and a later run with the same
@@ -156,8 +151,8 @@ class SearchResult:
     #: ``best`` is None and ``rejected_by_kernel_checker`` records it.
     stitch_verified: Optional[bool] = None
     #: Durable verdict-store accounting (``None`` when no store was used):
-    #: path plus preseeded/flushed verdict, counterexample, analysis-memo
-    #: and record counts.
+    #: path plus preseeded and flushed verdict counts and flushed record
+    #: counts.
     store_stats: Optional[Dict[str, object]] = None
 
     @property

@@ -1,15 +1,11 @@
 """Integration tests: the fused analyzer threaded through the system.
 
-Covers the chain's one analyzer (owned by its safety checker, seeded and
-exported by the parallel work units) and the windowed scheduler's static
-safety check of the stitched program before its final proof.
+Covers the windowed scheduler's static safety check of the stitched program
+before its final proof.
 """
 
-from repro.analysis import AbstractAnalyzer
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.synthesis import SearchOptions
-from repro.synthesis.mcmc import MarkovChain
-from repro.synthesis.parallel import ChainWorkUnit, run_chain_generation
 from repro.synthesis.windows import WindowedScheduler
 from repro.verifier import KernelChecker
 
@@ -21,28 +17,6 @@ def _prog(text, name="prog"):
 
 SAFE = "mov64 r0, 2\nmov64 r1, 7\nadd64 r1, 1\nexit"
 UNSAFE = "ldxw r2, [r1+0]\nldxb r0, [r2+0]\nexit"
-
-
-class TestAnalysisKnob:
-    def test_fused_chain_shares_one_analyzer(self):
-        """A work unit's analysis entries seed the analyzer the chain's
-        safety checker runs on, and come back out of it."""
-        chain = MarkovChain(_prog(SAFE), seed=1)
-        foreign = _prog(UNSAFE, "foreign")
-        donor = AbstractAnalyzer()
-        donor.analyze(foreign)
-        entries = donor.export_program_memo()
-        unit = ChainWorkUnit(chain_index=0, chain=chain, iterations=0,
-                             shared_cache_entries={},
-                             shared_counterexamples=[],
-                             shared_analysis_entries=entries,
-                             export_analysis=True)
-        result = run_chain_generation(unit)
-        analyzer = result.chain.safety.analyzer
-        assert set(entries) <= set(result.analysis_entries)
-        hits = analyzer.program_memo_hits
-        assert not result.chain.safety.check(foreign).safe
-        assert analyzer.program_memo_hits == hits + 1
 
 
 class TestStaticSafetyStage:

@@ -20,20 +20,18 @@ import threading
 
 import pytest
 
-from repro.analysis import AbstractAnalyzer
-from repro.analysis.analyzer import AnalysisOutcome
-from repro.analysis.verdicts import SafetyViolation, SafetyViolationKind
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapEnvironment
 from repro.corpus import get_benchmark
 from repro.equivalence import EquivalenceCache, EquivalenceResult
 from repro.interpreter import ProgramInput
 from repro.store import (
-    SEMANTICS_VERSION, VerdictStore, decode_key, decode_outcome,
-    decode_result, decode_test, encode_key, encode_outcome, encode_result,
-    encode_test, record_checksum,
+    SEMANTICS_VERSION, VerdictStore, decode_key, decode_result, decode_test,
+    encode_key, encode_result, encode_test, record_checksum, source_digest,
 )
 from repro.synthesis.search import SearchOptions, Synthesizer
+
+from golden_helpers import search_signature
 
 
 def prog(text, name="prog"):
@@ -86,14 +84,6 @@ class TestSerialization:
         assert decoded.counterexample.freeze_key() == \
             result.counterexample.freeze_key()
 
-    def test_outcome_roundtrip(self):
-        outcome = AnalysisOutcome((
-            SafetyViolation(SafetyViolationKind.BAD_JUMP, 3, "jump out"),
-            SafetyViolation(SafetyViolationKind.LOOP, None, "back edge")))
-        decoded = decode_outcome(encode_outcome(outcome))
-        assert decoded.violations == outcome.violations
-        assert not decoded.safe
-
     def test_checksum_covers_everything_but_itself(self):
         record = {"t": "eq", "src": "ab", "key": [1], "r": {"eq": True}}
         checksum = record_checksum(record)
@@ -109,19 +99,13 @@ class TestStoreRoundtrip:
         key = EquivalenceCache.canonicalize(prog("mov64 r0, 2\nexit"))
         store = VerdictStore(path)
         assert store.record_verdict(source, key, sample_result())
-        assert store.record_counterexample(source, sample_test())
-        assert store.record_analysis(source.content_key(), AnalysisOutcome(()))
-        assert store.flush() == 4  # src declaration + eq + cex + an
+        assert store.flush() == 2  # src declaration + eq
 
         reloaded = VerdictStore(path)
         verdicts = reloaded.verdicts_for(source)
         assert key in verdicts and not verdicts[key].equivalent
         assert verdicts[key].counterexample.freeze_key() == \
             sample_test().freeze_key()
-        tests = reloaded.counterexamples_for(source)
-        assert len(tests) == 1
-        memos = reloaded.analysis_entries()
-        assert memos[source.content_key()].safe
 
     def test_records_deduplicate(self, tmp_path):
         store = VerdictStore(str(tmp_path / "v.k2s"))
@@ -129,11 +113,6 @@ class TestStoreRoundtrip:
         key = EquivalenceCache.canonicalize(source)
         assert store.record_verdict(source, key, sample_result())
         assert not store.record_verdict(source, key, sample_result())
-        assert store.record_counterexample(source, sample_test())
-        assert not store.record_counterexample(source, sample_test())
-        assert store.record_analysis(source.content_key(), AnalysisOutcome(()))
-        assert not store.record_analysis(source.content_key(),
-                                         AnalysisOutcome(()))
 
     def test_unknown_verdicts_are_never_persisted(self, tmp_path):
         # Unknown results may depend on solver session history (conflict
@@ -159,7 +138,6 @@ class TestStoreRoundtrip:
         reloaded = VerdictStore(path)
         assert key in reloaded.verdicts_for(a)
         assert reloaded.verdicts_for(b) == {}
-        assert reloaded.counterexamples_for(b) == []
 
     def test_missing_file_reads_as_empty(self, tmp_path):
         store = VerdictStore(str(tmp_path / "absent.k2s"))
@@ -175,7 +153,9 @@ class TestCorruptionRecovery:
         store = VerdictStore(path)
         store.record_verdict(source, EquivalenceCache.canonicalize(source),
                              sample_result(equivalent=True))
-        store.record_counterexample(source, sample_test())
+        store.record_verdict(
+            source, EquivalenceCache.canonicalize(prog("mov64 r0, 2\nexit")),
+            sample_result())
         store.flush()
         return path, source
 
@@ -228,10 +208,11 @@ class TestCorruptionRecovery:
         assert stale.stale
         assert stale.verdicts_for(source) == {}
         # The next flush rewrites the whole file under the new stamp.
-        stale.record_analysis(source.content_key(), AnalysisOutcome(()))
+        stale.record_verdict(source, EquivalenceCache.canonicalize(source),
+                             sample_result(equivalent=True))
         stale.flush()
         fresh = VerdictStore(path, semantics=SEMANTICS_VERSION + "-next")
-        assert not fresh.stale and fresh.records_loaded == 1
+        assert not fresh.stale and fresh.records_loaded == 2  # src + eq
         # The old-semantics view is gone for current-semantics readers too.
         assert VerdictStore(path).stale
 
@@ -394,13 +375,13 @@ class TestCheckpointCompaction:
     def test_unreadable_records_block_compaction(self, tmp_path, damage):
         path = str(tmp_path / "v.k2s")
         store = VerdictStore(path)
-        source = add_verdict(store, 1)
+        add_verdict(store, 1)
         store.record_checkpoint("job", 1, {"v": 1})
         store.flush()
         if damage == "stale-header":
             # Newer code re-stamped the file after this store loaded it.
             newer = VerdictStore(path, semantics=SEMANTICS_VERSION + "-next")
-            newer.record_analysis(source.content_key(), AnalysisOutcome(()))
+            newer_source = add_verdict(newer, 2)
             newer.flush()
         else:
             record = {"t": "future-kind", "payload": [1, 2]}
@@ -417,7 +398,7 @@ class TestCheckpointCompaction:
 
         if damage == "stale-header":
             newer = VerdictStore(path, semantics=SEMANTICS_VERSION + "-next")
-            assert newer.analysis_entries()  # the newer records survive
+            assert newer.verdicts_for(newer_source)  # newer records survive
             return
         report = store.verify()
         if damage == "corrupt":
@@ -427,6 +408,36 @@ class TestCheckpointCompaction:
         assert store.gc()["dropped"] >= 3  # the damage and both ck lines
         assert record_kinds(path) == ["src", "eq"]
         assert VerdictStore(path).verify()["ok"]
+
+    def test_retired_record_kinds_compact_away(self, tmp_path):
+        """Older files hold pooled-counterexample (``cex``) and analyzer-memo
+        (``an``) records: they load as nothing, and compaction drops them."""
+        path = str(tmp_path / "v.k2s")
+        store = VerdictStore(path)
+        source = add_verdict(store, 1)
+        store.flush()
+        key = encode_key(source.content_key())
+        retired = [
+            {"t": "cex", "src": source_digest(key),
+             "test": encode_test(sample_test())},
+            {"t": "an", "strict": True, "key": key, "r": {"v": []}},
+        ]
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in retired:
+                record["c"] = record_checksum(record)
+                handle.write(json.dumps(record, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
+        assert record_kinds(path) == ["src", "eq", "cex", "an"]
+
+        store = VerdictStore(path)
+        assert store.corrupt_records == 0 and store.skipped_records == 0
+        assert store.verdicts_for(source)
+        assert store.verify()["ok"]
+        store.record_checkpoint("job", 1, {"v": 1})
+        store.flush()
+        store.clear_checkpoint("job")
+        store.flush()
+        assert record_kinds(path) == ["src", "eq"]
 
     def test_degraded_lock_only_appends(self, tmp_path, monkeypatch):
         import repro.store.store as store_module
@@ -593,34 +604,6 @@ class TestCacheSatellites:
 
 
 # --------------------------------------------------------------------------- #
-class TestAnalyzerMemoTransfer:
-    def test_export_and_seed_roundtrip(self):
-        analyzer = AbstractAnalyzer()
-        program = prog("mov64 r0, 1\nexit")
-        outcome = analyzer.analyze(program)
-        exported = analyzer.export_program_memo()
-        assert program.content_key() in exported
-
-        other = AbstractAnalyzer()
-        assert other.seed_program_memo(exported) == len(exported)
-        assert other.analyze(program).violations == outcome.violations
-        assert other.program_memo_hits == 1
-        assert other.programs_analyzed == 0
-
-    def test_seeding_respects_capacity_and_sheds_seeds_first(self):
-        analyzer = AbstractAnalyzer(program_memo_size=2)
-        own = prog("mov64 r0, 1\nexit")
-        analyzer.analyze(own)
-        donor = AbstractAnalyzer()
-        for index in range(2, 6):
-            donor.analyze(prog(f"mov64 r0, {index}\nexit"))
-        analyzer.seed_program_memo(donor.export_program_memo())
-        assert len(analyzer.export_program_memo()) == 2
-        # The analyzer's own entry outlives the seeded overflow.
-        assert own.content_key() in analyzer.export_program_memo()
-
-
-# --------------------------------------------------------------------------- #
 class TestWarmStartIntegration:
     def _run(self, program, store_path=None, **overrides):
         options = SearchOptions(iterations_per_chain=120,
@@ -644,6 +627,8 @@ class TestWarmStartIntegration:
 
         assert self._signature(off) == self._signature(cold) \
             == self._signature(warm)
+        # A fresh store changes nothing a store-less search reports.
+        assert search_signature(off) == search_signature(cold)
 
         assert off.store_stats is None
         assert cold.store_stats["flushed_verdicts"] > 0
@@ -675,21 +660,6 @@ class TestWarmStartIntegration:
                          num_workers=2, executor="process")
         assert self._signature(serial) == self._signature(warm)
         assert warm.cache_stats["store_hits"] > 0
-
-    def test_counterexample_preseed_is_opt_in(self, tmp_path):
-        program = get_benchmark("xdp_exception").build()
-        path = str(tmp_path / "v.k2s")
-        cold = self._run(program, store_path=path)
-        if not cold.store_stats["flushed_counterexamples"]:
-            pytest.skip("run discovered no counterexamples to preseed")
-        default = self._run(program, store_path=path)
-        assert default.store_stats["preseeded_counterexamples"] == 0
-        opted = self._run(program, store_path=path,
-                          store_preseed_counterexamples=True)
-        assert opted.store_stats["preseeded_counterexamples"] > 0
-        received = sum(r.statistics.counterexamples_received
-                      for r in opted.chain_results)
-        assert received > 0
 
     def test_corrupt_store_degrades_to_cold_run(self, tmp_path):
         program = get_benchmark("xdp_exception").build()
